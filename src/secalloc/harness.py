@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__
 from ._util import trial_rng
 from .errors import CapabilityError, ValidationError
-from .mechanism import run_mechanism
-from .offline import solve_from_tables
+from .mechanism import _require_separable, run_mechanism
+from .offline import opt_dispatch
 from .secretary import (
     ArrivalOrder,
     InstanceRuntime,
@@ -37,7 +37,6 @@ from .valuations import (
     SignalWeight,
     UnitDemandValuation,
     XOSValuation,
-    bundle_value_table,
 )
 
 __all__ = [
@@ -208,20 +207,24 @@ def _make_order_source(inst: Instance, config: ExperimentConfig):
 def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
     """Mean ALG/OPT over arrival orders, with OPT the true-signal optimum.
 
-    The denominator is exact; in exact_orders mode the mean is the
-    average over all n! permutations (and stays a Fraction when the
-    instance's signals are Fractions).
+    The denominator is exact (:func:`opt_dispatch`: a matching on
+    unit-demand and separable instances); in exact_orders mode the mean
+    is the average over all n! permutations (and stays a Fraction when
+    the instance's signals are Fractions).
     """
-    true_tables = [bundle_value_table(spec, inst.signals) for spec in inst.specs]
-    opt_true = solve_from_tables(range(inst.n), true_tables, range(inst.m)).value
+    ud_weights = _unit_demand_weights(inst)
+    if config.alg == "rei19" and ud_weights is None:
+        raise ValidationError("rei19 needs unit-demand (or separable) valuations")
+    if config.alg == "mechanism":
+        _require_separable(inst)
 
     runtime = InstanceRuntime(inst)
+    full = (1 << inst.n) - 1
+    opt_true = opt_dispatch(
+        inst, range(inst.n), lambda i: inst.signals, table=lambda i: runtime.table(i, full)
+    ).value
     match_cache: dict = {}
     mech_cache: dict = {}
-    ud_weights = _unit_demand_weights(inst)
-
-    if config.alg in ("rei19",) and ud_weights is None:
-        raise ValidationError("rei19 needs unit-demand (or separable) valuations")
 
     def welfare(order: ArrivalOrder):
         if config.alg == "alg1":
@@ -244,10 +247,12 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
             else:
                 raise ValidationError(f"unknown blackbox {config.blackbox!r}")
             return run_proxy_framework(inst, order, blackbox, runtime=runtime).welfare
+        # Mechanism bundles are single items, worth their true item weight.
         outcome = run_mechanism(inst, order, solver_cache=mech_cache)
         total = 0
         for i in sorted(outcome.bundles):
-            total += true_tables[i][sum(1 << j for j in outcome.bundles[i])]
+            (j,) = outcome.bundles[i]
+            total += ud_weights[i][j]
         return total
 
     orders = _make_order_source(inst, config)

@@ -25,13 +25,12 @@ from typing import Mapping, Optional, Sequence
 
 from ._util import mask_of, set_of, trial_rng
 from .errors import CapabilityError, ValidationError
-from .offline import opt_matching, solve_from_tables
+from .offline import opt_dispatch, opt_matching
 from .secretary import _check_order
 from .valuations import (
     Instance,
     SeparableValuation,
     SignalProfile,
-    bundle_value_table,
     mask_signals,
 )
 
@@ -300,21 +299,16 @@ def check_random_sampling_bound(
     sample, each valued with her own signal plus the sample's signals
     only.  Exact mode averages over every floor(n/2)-subset.
     """
-    n, m = inst.n, inst.m
+    n = inst.n
     k1 = n // 2
     sigs = inst.signals
 
     def proxy_opt(sample: tuple) -> object:
         sample_set = frozenset(sample)
-        rest = sorted(set(range(n)) - sample_set)
-        tables = [
-            bundle_value_table(inst.specs[i], mask_signals(sigs, sample_set | {i}))
-            for i in rest
-        ]
-        return solve_from_tables(rest, tables, range(m)).value
+        rest = set(range(n)) - sample_set
+        return opt_dispatch(inst, rest, lambda i: mask_signals(sigs, sample_set | {i})).value
 
-    full_tables = [bundle_value_table(spec, sigs) for spec in inst.specs]
-    opt_true = solve_from_tables(range(n), full_tables, range(m)).value
+    opt_true = opt_dispatch(inst, range(n), lambda i: sigs).value
     rhs = opt_true / 4
 
     if mode == "exact":

@@ -13,18 +13,30 @@ assignment vector as a base-B number, and K is large enough that any
 true welfare improvement dominates every possible code difference.  That
 objective has a unique maximizer, so the subset-DP solver and the
 matching solver cannot disagree on ties.
+
+:func:`opt_dispatch` is the one entry point for instance optima: it sends
+unit-demand and separable agents to the polynomial matching solver and
+everything else to the subset DP over bundle tables.  Every exponential
+step raises :class:`CapabilityError` against an explicit budget before
+it allocates anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ._util import integerize, set_of, submasks
 from .errors import CapabilityError, ValidationError
-from .valuations import ValuationSpec
+from .valuations import (
+    Instance,
+    SeparableValuation,
+    SignalProfile,
+    UnitDemandValuation,
+    bundle_value_table,
+)
 
-__all__ = ["WeightOracle", "Allocation", "opt_general", "opt_matching", "opt_split"]
+__all__ = ["WeightOracle", "Allocation", "opt_dispatch", "opt_general", "opt_matching", "opt_split"]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -38,11 +50,6 @@ class WeightOracle:
 
     def evaluate(self, bundle: Iterable[int]):
         return self.fn(frozenset(bundle))
-
-    @classmethod
-    def from_spec(cls, agent: int, spec: ValuationSpec, signals) -> "WeightOracle":
-        """Freeze a valuation spec at a (possibly masked) signal profile."""
-        return cls(agent, lambda bundle: spec.value(bundle, signals))
 
     @classmethod
     def from_item_weights(cls, agent: int, weights: Sequence) -> "WeightOracle":
@@ -104,17 +111,31 @@ def _lex_codes(num_items: int, base: int) -> list[int]:
     return codes
 
 
-def solve_from_tables(agent_ids: Sequence[int], tables: Sequence[Sequence], item_ids: Sequence[int]) -> Allocation:
+def solve_from_tables(
+    agent_ids: Sequence[int],
+    tables: Sequence[Sequence],
+    item_ids: Sequence[int],
+    *,
+    budget: int = DEFAULT_ENUMERATION_BUDGET,
+) -> Allocation:
     """Exact optimum over bundle-value tables (one table per agent).
 
     ``tables[r]`` is indexed by bitmask over ``item_ids`` (ascending).
-    This is the shared engine behind :func:`opt_general` and the
-    per-step optima of the online algorithms.
+    This is the shared engine behind :func:`opt_general`,
+    :func:`opt_dispatch` and the per-step optima of the online
+    algorithms.  The DP visits t * 3^q (agent, submask) pairs; that count
+    is the capability guard.
     """
     agents = list(agent_ids)
     items = list(item_ids)
     q = len(items)
     t = len(agents)
+    work = t * 3 ** q
+    if work > budget:
+        raise CapabilityError(
+            f"the subset DP over {t} agents and {q} items takes {work} steps, "
+            f"over the enumeration budget {budget}"
+        )
     full = (1 << q) - 1
 
     if t == 0:
@@ -197,7 +218,7 @@ def opt_general(
         fn = oracle.evaluate if isinstance(oracle, WeightOracle) else oracle
         tab = [fn(frozenset(it[b] for b in set_of(mask))) for mask in range(1 << len(it))]
         tables.append(tab)
-    return solve_from_tables(ag, tables, it)
+    return solve_from_tables(ag, tables, it, budget=budget)
 
 
 def _min_cost_assignment(cost: list[list]) -> list[int]:
@@ -304,6 +325,36 @@ def opt_matching(
             per_agent[ag[r]] = w_rows[r][b]
     value = sum(per_agent[i] for i in sorted(per_agent)) if per_agent else 0.0
     return Allocation(frozenset(ag), frozenset(it), bundles, per_agent, value)
+
+
+def opt_dispatch(
+    inst: Instance,
+    agents: Iterable[int],
+    signals: Callable[[int], Sequence],
+    *,
+    table: Optional[Callable[[int], Sequence]] = None,
+) -> Allocation:
+    """Optimal allocation of all items to ``agents``, agent i valued at ``signals(i)``.
+
+    Unit-demand and separable valuations need only per-item weights, so
+    when every agent has one the optimum is :func:`opt_matching`,
+    polynomial in n and m.  Otherwise the subset DP runs over 2^m bundle
+    tables; ``table(i)`` supplies agent i's table when the caller caches
+    them (it must equal ``bundle_value_table`` at ``signals(i)``).  Both
+    solvers share the tie-break, so the choice never changes the result.
+    """
+    ag = sorted(set(agents))
+    items = range(inst.m)
+    if all(isinstance(inst.specs[i], (UnitDemandValuation, SeparableValuation)) for i in ag):
+        weights = {}
+        for i in ag:
+            sigs = signals(i)
+            if isinstance(sigs, SignalProfile):
+                sigs = sigs.values
+            weights[i] = [inst.specs[i].item_weight(j, sigs) for j in items]
+        return opt_matching(ag, weights, items)
+    tables = [table(i) if table else bundle_value_table(inst.specs[i], signals(i)) for i in ag]
+    return solve_from_tables(ag, tables, items)
 
 
 def opt_split(alloc: Allocation, agent: int) -> tuple:

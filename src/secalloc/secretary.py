@@ -146,16 +146,15 @@ class InstanceRuntime:
     """Per-instance caches shared across many runs (orders) of one instance.
 
     Step optima depend only on the *set* of arrived agents, so they are
-    memoized by agent bitmask.  All tables are exact in the numeric
-    domain of the instance's signals.
+    memoized by agent bitmask.  Tables are built on first use, so paths
+    that never read one (matching, the mechanism) do no 2^m work; all are
+    exact in the numeric domain of the instance's signals.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self._tables: dict = {}
         self._step_opt: dict = {}
-        full = (1 << inst.n) - 1
-        self.true_tables = [self.table(i, full) for i in range(inst.n)]
 
     def table(self, agent: int, amask: int):
         key = (agent, amask)
@@ -183,9 +182,10 @@ class InstanceRuntime:
         return hit
 
     def true_welfare(self, bundle_masks: Mapping[int, int]):
+        full = (1 << self.inst.n) - 1
         total = 0
         for i in sorted(bundle_masks):
-            total += self.true_tables[i][bundle_masks[i]]
+            total += self.table(i, full)[bundle_masks[i]]
         return total
 
     def proxy_oracle(self, agent: int, sample_mask: int) -> WeightOracle:

@@ -23,7 +23,11 @@ from dataclasses import dataclass, field
 from numbers import Real
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .errors import ValidationError
+from .errors import CapabilityError, ValidationError
+
+# Largest bundle table (2^m entries) bundle_value_table builds: m <= 16.
+# The subset DP's own t * 3^m budget already stops at m = 14.
+TABLE_BUDGET = 1 << 16
 
 __all__ = [
     "SignalProfile",
@@ -366,7 +370,17 @@ def bundle_value_table(spec: SpecLike, signals: Sequence) -> list:
 
     This is the hot path behind the offline optima: tables are exact in
     whatever numeric domain the signals live in (float or Fraction).
+    Raises :class:`CapabilityError` before allocating when 2^m exceeds
+    :data:`TABLE_BUDGET`.
     """
+    if not isinstance(spec, ValuationSpec):
+        raise ValidationError("bundle_value_table requires a constructive spec")
+    size = 1 << spec.num_items
+    if size > TABLE_BUDGET:
+        raise CapabilityError(
+            f"a bundle table over m={spec.num_items} items has {size} entries, "
+            f"over the table budget {TABLE_BUDGET}"
+        )
     if isinstance(signals, SignalProfile):
         signals = signals.values
     if isinstance(spec, XOSValuation):
@@ -378,10 +392,7 @@ def bundle_value_table(spec: SpecLike, signals: Sequence) -> list:
     if isinstance(spec, (UnitDemandValuation, SeparableValuation)):
         scalars = [spec.item_weight(j, signals) for j in range(spec.num_items)]
         return _max_table(scalars)
-    if isinstance(spec, ValuationSpec):
-        raise ValidationError(f"unsupported spec type {type(spec).__name__}")
-    # Raw oracle: evaluate every bundle directly.
-    raise ValidationError("bundle_value_table requires a constructive spec")
+    raise ValidationError(f"unsupported spec type {type(spec).__name__}")
 
 
 @dataclass(frozen=True)

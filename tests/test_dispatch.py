@@ -1,0 +1,200 @@
+"""The OPT dispatcher: matching on unit-demand instances, DP elsewhere, budgets."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import secalloc.secretary
+from secalloc import (
+    ArrivalOrder,
+    CapabilityError,
+    ExperimentConfig,
+    GeneratorParams,
+    Instance,
+    InstanceRuntime,
+    RatioStats,
+    SeparableValuation,
+    SignalWeight,
+    UnitDemandValuation,
+    ValidationError,
+    WeightOracle,
+    bundle_value_table,
+    estimate_ratio,
+    generate_instance,
+    mask_signals,
+    opt_dispatch,
+    opt_general,
+    run_mechanism,
+    run_sample_then_match,
+    sample_size,
+    save_instance,
+)
+from secalloc import cli
+from secalloc._util import mask_of, trial_rng
+from secalloc.offline import solve_from_tables
+
+# Deterministic and free of wall-clock checks, so tier-1 runs repeat exactly.
+DERANDOMIZED = settings(derandomize=True, deadline=None, database=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+
+# --- capability guards -----------------------------------------------------
+
+def test_bundle_table_over_budget_raises_capability_error():
+    inst = generate_instance(GeneratorParams(3, 63, "xos_linear"), seed=0)
+    with pytest.raises(CapabilityError, match="table budget"):
+        bundle_value_table(inst.specs[0], inst.signals)
+    with pytest.raises(CapabilityError, match="table budget"):
+        estimate_ratio(inst, ExperimentConfig("alg1", trials=2))
+
+
+def test_cli_run_over_budget_exits_one(tmp_path, capsys):
+    path = tmp_path / "big.json"
+    save_instance(generate_instance(GeneratorParams(3, 63, "xos_linear"), seed=0), path)
+    code = cli.main(["run", "--instance", str(path), "--alg", "alg1", "--trials", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "table budget" in err
+
+
+def test_subset_dp_budget_is_checked_and_passed_through():
+    tables = [[0.0, 1.0, 1.0, 2.0]] * 2
+    with pytest.raises(CapabilityError, match="18 steps"):
+        solve_from_tables([0, 1], tables, [0, 1], budget=17)
+    assert solve_from_tables([0, 1], tables, [0, 1], budget=18).value == 2.0
+
+    # (1+1)^8 = 256 candidate assignments pass opt_general's own guard,
+    # but the DP's 3^8 = 6561 steps do not.
+    oracle = WeightOracle(0, lambda b: float(len(b)))
+    with pytest.raises(CapabilityError, match="6561 steps"):
+        opt_general([0], {0: oracle}, range(8), budget=1000)
+
+
+# --- the polynomial path ---------------------------------------------------
+
+@pytest.mark.parametrize("family, algs", [
+    ("unit_demand_const", ("rei19",)),
+    ("separable_capped", ("rei19", "mechanism")),
+])
+def test_unit_demand_ratio_needs_no_bundle_tables(family, algs):
+    inst = generate_instance(GeneratorParams(6, 64, family), seed=1)
+    for alg in algs:
+        stats = estimate_ratio(inst, ExperimentConfig(alg, trials=5, seed=2))
+        assert stats.trials == 5 and stats.opt_value > 0
+
+
+def test_runtime_builds_tables_only_on_use(monkeypatch):
+    built = []
+
+    def counting(spec, signals):
+        built.append(spec)
+        return bundle_value_table(spec, signals)
+
+    monkeypatch.setattr(secalloc.secretary, "bundle_value_table", counting)
+    inst = generate_instance(GeneratorParams(4, 3, "xos_linear"), seed=0)
+    runtime = InstanceRuntime(inst)
+    assert built == []
+    runtime.true_welfare({2: 0b101})
+    assert built == [inst.specs[2]]
+
+
+def test_algorithm_fit_is_checked_before_any_optimum():
+    # m = 63 is far over the table budget, so reaching OPT would raise
+    # CapabilityError instead.
+    inst = generate_instance(GeneratorParams(3, 63, "xos_linear"), seed=0)
+    with pytest.raises(ValidationError, match="rei19 needs unit-demand"):
+        estimate_ratio(inst, ExperimentConfig("rei19", trials=2))
+    with pytest.raises(ValidationError, match="not separable unit-demand"):
+        estimate_ratio(inst, ExperimentConfig("mechanism", trials=2))
+
+
+# --- dispatcher equals the subset DP ---------------------------------------
+
+UNIFORM = st.floats(0.0, 1.0, allow_nan=False)
+GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])  # ties and zeros
+
+
+@st.composite
+def unit_demand_instances(draw, min_agents=1, separable_only=False):
+    """Unit-demand and separable agents over float or Fraction weights."""
+    n = draw(st.integers(min_agents, min_agents + 3))
+    m = draw(st.integers(1, 4))
+    value = draw(st.sampled_from([UNIFORM, GRID]))
+
+    def weight(readers, capped):
+        coeffs = [draw(value) if k in readers else 0.0 for k in range(n)]
+        cap = draw(st.one_of(st.none(), value)) if capped else None
+        return SignalWeight(coeffs, draw(value), cap)
+
+    specs = []
+    for i in range(n):
+        others = [k for k in range(n) if k != i]
+        if separable_only or draw(st.booleans()):
+            specs.append(SeparableValuation(
+                i,
+                [weight({i}, capped=False) for _ in range(m)],
+                [weight(set(others), capped=True) for _ in range(m)],
+            ))
+        else:
+            specs.append(UnitDemandValuation(weight(set(range(n)), capped=True) for _ in range(m)))
+    inst = Instance(specs, [draw(value) for _ in range(n)])
+    return inst.exact() if draw(st.booleans()) else inst
+
+
+@DERANDOMIZED
+@given(inst=unit_demand_instances(), data=st.data())
+def test_dispatcher_equals_subset_dp(inst, data):
+    n = inst.n
+    agents = data.draw(st.sets(st.integers(0, n - 1)))
+    seen = {i: data.draw(st.sets(st.integers(0, n - 1))) | {i} for i in range(n)}
+
+    def signals(i):
+        return mask_signals(inst.signals, seen[i])
+
+    got = opt_dispatch(inst, agents, signals)
+    ag = sorted(agents)
+    want = solve_from_tables(
+        ag, [bundle_value_table(inst.specs[i], signals(i)) for i in ag], range(inst.m)
+    )
+    assert repr(got.value) == repr(want.value)
+    assert dict(got.bundles) == dict(want.bundles)
+    assert repr(sorted(got.per_agent_value.items())) == repr(sorted(want.per_agent_value.items()))
+    assert got == want
+
+
+def reference_stats(inst, config) -> RatioStats:
+    """estimate_ratio as it stood with the subset DP: 2^m true tables for
+    OPT and for scoring the mechanism's bundles."""
+    tables = [bundle_value_table(spec, inst.signals) for spec in inst.specs]
+    opt = solve_from_tables(range(inst.n), tables, range(inst.m)).value
+    sigs = inst.signals.values
+    weights = {i: tuple(inst.specs[i].item_weight(j, sigs) for j in range(inst.m))
+               for i in range(inst.n)}
+    ratios = []
+    cache: dict = {}
+    for t in range(config.trials):
+        order = ArrivalOrder.random(inst.n, trial_rng(config.seed, t))
+        if config.alg == "rei19":
+            welfare = run_sample_then_match(weights, inst.m, order, sample_size(inst.n, "n/e")).welfare
+        else:
+            bundles = run_mechanism(inst, order, solver_cache=cache).bundles
+            welfare = 0
+            for i in sorted(bundles):
+                welfare += tables[i][mask_of(bundles[i])]
+        ratios.append(welfare / opt if opt > 0 else 1.0)
+    floats = np.array([float(r) for r in ratios])
+    se = float(floats.std(ddof=1)) / math.sqrt(len(ratios))
+    return RatioStats(sum(ratios) / len(ratios), se, 1.96 * se, float(floats.min()),
+                      float(floats.max()), len(ratios), float(opt))
+
+
+@DERANDOMIZED
+@given(inst=unit_demand_instances(min_agents=3, separable_only=True),
+       alg=st.sampled_from(["rei19", "mechanism"]))
+def test_matching_ratio_equals_subset_dp_reference(inst, alg):
+    config = ExperimentConfig(alg, trials=12, seed=inst.n)
+    got = estimate_ratio(inst, config)
+    assert repr(got) == repr(reference_stats(inst, config))
