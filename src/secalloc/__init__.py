@@ -30,7 +30,7 @@ from .structure_checks import (
     check_xos_over_items,
     check_xos_over_signals,
 )
-from .offline import Allocation, WeightOracle, opt_dispatch, opt_general, opt_matching, opt_split
+from .offline import Allocation, WeightOracle, opt_dispatch, opt_general, opt_matching
 from .secretary import (
     ArrivalOrder,
     InstanceRuntime,

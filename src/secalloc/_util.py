@@ -41,17 +41,27 @@ def submasks(mask: int):
         sub = (sub - 1) & mask
 
 
-def integerize(values: Sequence) -> tuple[list[int], int]:
-    """Scale floats/Fractions to exact integers over a common denominator.
+def _ratio(v) -> tuple[int, int]:
+    # A Fraction keeps a NumPy integer's fixed-width type as its numerator.
+    f = Fraction(v)
+    return int(f.numerator), int(f.denominator)
 
-    Floats are dyadic rationals, so Fraction conversion is exact and the
-    returned integers represent the inputs with no rounding at all.
+
+def integerize(values: Sequence) -> tuple[list[int], int]:
+    """Scale numbers to exact integers over their least common denominator.
+
+    Every value's exact ratio comes from ``as_integer_ratio``: floats are
+    dyadic rationals, so their ratios are exact and their denominators are
+    powers of two; ints and Fractions have the method too.  Values without
+    it, such as NumPy integer scalars, go through ``Fraction``.  Each
+    returned int is exactly ``v * denom``, with no rounding at all.
     """
-    fracs = [Fraction(v) for v in values]
-    if not fracs:
-        return [], 1
-    denom = math.lcm(*(f.denominator for f in fracs))
-    return [int(f * denom) for f in fracs], denom
+    try:
+        ratios = [v.as_integer_ratio() for v in values]
+    except AttributeError:
+        ratios = [_ratio(v) for v in values]
+    denom = math.lcm(*[d for _, d in ratios])
+    return [n * (denom // d) for n, d in ratios], denom
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:

@@ -7,12 +7,14 @@ lists each item's assignee in ascending item order and "unassigned"
 sorts before every agent id.
 
 The tie-break is implemented without tolerances by maximizing a single
-integer objective ``welfare * K - lex_code``: weights are integerized
-exactly (floats are dyadic rationals), ``lex_code`` encodes the
-assignment vector as a base-B number, and K is large enough that any
-true welfare improvement dominates every possible code difference.  That
-objective has a unique maximizer, so the subset-DP solver and the
-matching solver cannot disagree on ties.
+integer objective ``welfare * K - lex_code``: weights become exact
+integers over their least common denominator, taken from each value's
+``as_integer_ratio`` (floats are dyadic rationals, so nothing is
+rounded); ``lex_code`` encodes the assignment vector as a base-B
+number, and K is large enough that any true welfare improvement
+dominates every possible code difference.  That objective has a unique
+maximizer, so the subset-DP solver and the matching solver cannot
+disagree on ties.
 
 :func:`opt_dispatch` is the one entry point for instance optima: it sends
 unit-demand and separable agents to the polynomial matching solver and
@@ -36,7 +38,7 @@ from .valuations import (
     bundle_value_table,
 )
 
-__all__ = ["WeightOracle", "Allocation", "opt_dispatch", "opt_general", "opt_matching", "opt_split"]
+__all__ = ["WeightOracle", "Allocation", "opt_dispatch", "opt_general", "opt_matching"]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
@@ -356,10 +358,3 @@ def opt_dispatch(
     tables = [table(i) if table else bundle_value_table(inst.specs[i], signals(i)) for i in ag]
     return solve_from_tables(ag, tables, items)
 
-
-def opt_split(alloc: Allocation, agent: int) -> tuple:
-    """Split an optimum into (agent's contribution, everyone else's)."""
-    if agent not in alloc.agents:
-        raise ValidationError(f"agent {agent} is not part of this allocation")
-    own = alloc.per_agent_value.get(agent, 0.0)
-    return own, alloc.value - own

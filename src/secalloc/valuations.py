@@ -84,7 +84,12 @@ def mask_signals(profile: SignalProfile, agents: Iterable[int]) -> SignalProfile
     if bad:
         raise ValidationError(f"agent ids {sorted(bad)} out of range for n={n}")
     zero = 0 * profile.values[0] if n else 0
-    return SignalProfile(v if i in keep else zero for i, v in enumerate(profile.values))
+    # Kept values were validated with ``profile`` and zero is nonnegative,
+    # so the masked profile is built without checking them again.
+    vals = tuple(v if i in keep else zero for i, v in enumerate(profile.values))
+    masked = object.__new__(SignalProfile)
+    object.__setattr__(masked, "values", vals)
+    return masked
 
 
 @dataclass(frozen=True)

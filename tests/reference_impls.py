@@ -8,9 +8,32 @@ welfare maximizers, the lexicographically smallest assignment vector
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from secalloc.valuations import eval_valuation, mask_signals
+import numpy as np
+
+from secalloc.valuations import SignalProfile, eval_valuation, mask_signals
+
+
+def ref_integerize(values):
+    """Scale exact Fractions by the lcm of their denominators.
+
+    NumPy integers become Python ints first: a Fraction keeps a NumPy
+    numerator, whose fixed-width products overflow.
+    """
+    fracs = [Fraction(int(v)) if isinstance(v, np.integer) else Fraction(v) for v in values]
+    if not fracs:
+        return [], 1
+    denom = math.lcm(*(f.denominator for f in fracs))
+    return [int(f * denom) for f in fracs], denom
+
+
+def ref_mask_signals(profile, agents):
+    """Zero the signals outside ``agents`` in a freshly validated profile."""
+    keep = set(agents)
+    zero = 0 * profile.values[0] if len(profile) else 0
+    return SignalProfile(v if i in keep else zero for i, v in enumerate(profile.values))
 
 
 def ref_opt_brute(agents, value_of, items):

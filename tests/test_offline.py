@@ -1,9 +1,14 @@
 """Offline optima versus literal brute force, plus contract details."""
 
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from reference_impls import ref_matching_brute, ref_opt_brute
+from reference_impls import ref_integerize, ref_matching_brute, ref_opt_brute
 
 from secalloc import (
     Allocation,
@@ -12,8 +17,8 @@ from secalloc import (
     WeightOracle,
     opt_general,
     opt_matching,
-    opt_split,
 )
+from secalloc._util import integerize
 
 
 def additive_oracle(agent, item_weights):
@@ -202,24 +207,6 @@ def test_opt_value_monotone_in_agents_and_items():
         assert full.value >= fewer_items.value - 1e-12
 
 
-def test_opt_split_examples():
-    oracles = {0: additive_oracle(0, [5.0, 1.0]), 1: additive_oracle(1, [1.0, 5.0])}
-    alloc = opt_general([0, 1], oracles, [0, 1])
-    assert opt_split(alloc, 0) == (5.0, 5.0)
-
-    solo = opt_general([0], {0: oracles[0]}, [0, 1])
-    own, rest = opt_split(solo, 0)
-    assert own == solo.value and rest == 0.0
-
-    # Agent in the computation but allocated nothing.
-    weights = {0: [5.0], 1: [1.0]}
-    alloc = opt_matching([0, 1], weights, [0])
-    assert opt_split(alloc, 1) == (0.0, 5.0)
-
-    with pytest.raises(ValidationError):
-        opt_split(alloc, 7)
-
-
 def test_allocation_invariants_are_enforced():
     with pytest.raises(ValidationError):
         Allocation(
@@ -244,3 +231,43 @@ def test_allocation_round_trips_to_json():
     doc = alloc.to_json()
     assert doc["value"] == 8.0
     assert doc["bundles"] == {"0": [1], "1": [0]}
+
+
+# --- exact integerization ----------------------------------------------------
+
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+NUMBERS = st.one_of(
+    FINITE_FLOATS,
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1.7976931348623157e308]),
+    st.integers(0, 400).map(lambda k: k * 0.25),
+    st.integers(-(10**30), 10**30),
+    st.fractions(),
+    FINITE_FLOATS.map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.decimals(min_value=-(10**6), max_value=10**6, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(values=st.lists(NUMBERS, max_size=30))
+@example(values=[])
+@example(values=[np.int64(2**62), 1e-300])
+@example(values=[Decimal("0.1"), 0.1, Fraction(1, 3), 3])
+def test_integerize_equals_fraction_reference(values):
+    ints, denom = integerize(values)
+    assert (ints, denom) == ref_integerize(values)
+    assert type(denom) is int and all(type(x) is int for x in ints)
+
+
+@pytest.mark.parametrize("bad, error", [
+    (float("nan"), ValueError),
+    (np.float64("nan"), ValueError),
+    (float("inf"), OverflowError),
+    (float("-inf"), OverflowError),
+])
+def test_integerize_rejects_nan_and_infinity(bad, error):
+    with pytest.raises(error):
+        integerize([1.0, bad])
+    with pytest.raises(error):
+        integerize([np.int64(1), bad])

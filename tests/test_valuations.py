@@ -1,5 +1,7 @@
 """Valuation types: masking, evaluation, normalization, monotonicity."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,9 @@ from secalloc import (
     mask_signals,
 )
 from secalloc.harness import GeneratorParams, generate_instance
+from secalloc.mechanism import ReportProfile
+
+from reference_impls import ref_mask_signals
 
 
 def const_weight(n, c):
@@ -44,6 +49,21 @@ def test_mask_idempotent_and_intersection():
         b = {int(i) for i in np.flatnonzero(rng.random(n) < 0.5)}
         assert mask_signals(mask_signals(s, a), a) == mask_signals(s, a)
         assert mask_signals(mask_signals(s, a), b) == mask_signals(s, a & b)
+
+
+def test_mask_equals_validated_reference_for_floats_and_fractions():
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        n = int(rng.integers(1, 7))
+        floats = rng.uniform(0, 5, n)
+        keep = {int(i) for i in np.flatnonzero(rng.random(n) < 0.5)}
+        for s in (SignalProfile(floats), SignalProfile(Fraction(v) for v in floats),
+                  ReportProfile(float(v) for v in floats)):
+            masked, ref = mask_signals(s, keep), ref_mask_signals(s, keep)
+            assert type(masked) is SignalProfile
+            assert masked == ref
+            assert [type(v) for v in masked.values] == [type(v) for v in ref.values]
+    assert mask_signals(SignalProfile([]), set()) == SignalProfile([])
 
 
 def test_signal_profile_rejects_negative_and_nan():
