@@ -36,7 +36,6 @@ from .secretary import (
     InstanceRuntime,
     RunResult,
     StepRecord,
-    blackbox_nothing,
     check_tail_harmonic_sum,
     make_sample_then_greedy_blackbox,
     make_sample_then_match_blackbox,
@@ -49,7 +48,6 @@ from .secretary import (
 from .mechanism import (
     EpicAudit,
     MechanismOutcome,
-    ReportProfile,
     agent_utility,
     check_epic,
     check_random_sampling_bound,

@@ -154,6 +154,8 @@ class ExperimentConfig:
             raise ValidationError("trials must be >= 1")
         if self.mode not in ("monte_carlo", "exact_orders"):
             raise ValidationError(f"unknown mode {self.mode!r}")
+        if self.blackbox not in ("auto", "match", "greedy"):
+            raise ValidationError(f"unknown blackbox {self.blackbox!r}")
 
 
 @dataclass(frozen=True)
@@ -242,10 +244,8 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
                 style = "match" if ud_weights is not None else "greedy"
             if style == "match":
                 blackbox = make_sample_then_match_blackbox(config.k)
-            elif style == "greedy":
-                blackbox = make_sample_then_greedy_blackbox(config.k)
             else:
-                raise ValidationError(f"unknown blackbox {config.blackbox!r}")
+                blackbox = make_sample_then_greedy_blackbox(config.k)
             return run_proxy_framework(inst, order, blackbox, runtime=runtime).welfare
         # Mechanism bundles are single items, worth their true item weight.
         outcome = run_mechanism(inst, order, solver_cache=mech_cache)

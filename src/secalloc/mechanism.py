@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from ._util import mask_of, set_of, trial_rng
+from ._util import bits_of, mask_of, set_of, trial_rng
 from .errors import CapabilityError, ValidationError
 from .offline import opt_dispatch, opt_matching
-from .secretary import _check_order
+from .secretary import _arrive, _check_order
 from .valuations import (
     Instance,
     SeparableValuation,
@@ -35,7 +35,6 @@ from .valuations import (
 )
 
 __all__ = [
-    "ReportProfile",
     "MechStep",
     "MechanismOutcome",
     "run_mechanism",
@@ -46,10 +45,6 @@ __all__ = [
     "check_random_sampling_bound",
     "price_ledger_csv",
 ]
-
-
-class ReportProfile(SignalProfile):
-    """Reported signals; may differ from the true profile."""
 
 
 @dataclass(frozen=True)
@@ -125,7 +120,7 @@ def run_mechanism(
     if reports is None:
         reports = inst.signals
     elif not isinstance(reports, SignalProfile):
-        reports = ReportProfile(reports)
+        reports = SignalProfile(reports)
     if len(reports) != n:
         raise ValidationError(f"{len(reports)} reports for {n} agents")
 
@@ -134,6 +129,7 @@ def run_mechanism(
     k2 = int(n / (2 * math.e))
     sample = order.agents[:k1]
     sample_set = frozenset(sample)
+    sample_mask = mask_of(sample)
     all_agents = frozenset(range(n))
 
     # Proxy weight vectors: own report plus the first sample's reports.
@@ -143,44 +139,40 @@ def run_mechanism(
         spec = inst.specs[agent]
         w_vec[agent] = tuple(spec.item_weight(j, masked.values) for j in range(inst.m))
 
-    def matching(agent_set: frozenset, avail_mask: int):
-        key = (tuple(sorted((a, w_vec[a]) for a in agent_set)), avail_mask)
+    def matching(amask: int, avail: int):
+        agents = bits_of(amask)
+        key = (tuple((a, w_vec[a]) for a in agents), avail)
         hit = memo.get(key)
         if hit is None:
-            items = [j for j in range(inst.m) if avail_mask >> j & 1]
-            hit = opt_matching(agent_set, w_vec, items)
+            hit = opt_matching(agents, w_vec, bits_of(avail))
             memo[key] = hit
         return hit
 
-    avail = (1 << inst.m) - 1
-    arrived: list[int] = []
-    trace = []
-    bundles: dict[int, frozenset] = {}
-    payments: dict[int, object] = {i: 0.0 for i in range(n)}
-    for t0, agent in enumerate(order):
-        t = t0 + 1
-        if t > k1:
-            arrived.append(agent)
-        if t <= k1 + k2:
-            trace.append(MechStep(t, agent, set_of(avail), frozenset()))
-            continue
+    # MechStep fields (opt_prev, opt_minus, g_full, g_sample, price) per priced agent.
+    priced: dict[int, tuple] = {}
 
-        cur = frozenset(arrived)
+    def price_step(agent: int, amask: int, avail: int) -> int:
+        cur = amask & ~sample_mask
         alloc = matching(cur, avail)
-        prev = matching(cur - {agent}, avail)
+        prev = matching(cur & ~(1 << agent), avail)
         bundle = alloc.bundle_of(agent)
         opt_minus = alloc.value - alloc.per_agent_value.get(agent, 0)
         spec = inst.specs[agent]
         g_full = spec.others_value(bundle, mask_signals(reports, all_agents - {agent}).values)
         g_sample = spec.others_value(bundle, mask_signals(reports, sample_set).values)
         formula = prev.value - opt_minus + g_full - g_sample
-        price = formula if bundle else 0.0
-        if bundle:
-            bundles[agent] = bundle
-            payments[agent] = price
-        trace.append(MechStep(t, agent, set_of(avail), bundle,
-                              prev.value, opt_minus, g_full, g_sample, price))
-        avail &= ~mask_of(bundle)
+        priced[agent] = (prev.value, opt_minus, g_full, g_sample, formula if bundle else 0.0)
+        return mask_of(bundle)
+
+    trace = []
+    bundles: dict[int, frozenset] = {}
+    payments: dict[int, object] = {i: 0.0 for i in range(n)}
+    for t, agent, avail, taken in _arrive(order, inst.m, k1 + k2, price_step):
+        fields = priced.get(agent, ())
+        if taken:
+            bundles[agent] = set_of(taken)
+            payments[agent] = fields[-1]
+        trace.append(MechStep(t, agent, set_of(avail), set_of(taken), *fields))
 
     true_sigs = inst.signals.values
     utilities = {
@@ -240,6 +232,8 @@ def check_epic(
     """
     if not (0 <= agent < inst.n):
         raise ValidationError(f"agent {agent} out of range for n={inst.n}")
+    if grid_points < 2:
+        raise ValidationError("grid_points must be >= 2")
     memo = solver_cache if solver_cache is not None else {}
     truth = run_mechanism(inst, order, solver_cache=memo)
     u_truth = truth.utilities[agent]
@@ -252,7 +246,7 @@ def check_epic(
     def utility_of(report_value) -> float:
         values = list(inst.signals.values)
         values[agent] = report_value
-        outcome = run_mechanism(inst, order, ReportProfile(values), solver_cache=memo)
+        outcome = run_mechanism(inst, order, SignalProfile(values), solver_cache=memo)
         return outcome.utilities[agent]
 
     tested = [(float(d), utility_of(d)) for d in grid]
@@ -299,6 +293,8 @@ def check_random_sampling_bound(
     sample, each valued with her own signal plus the sample's signals
     only.  Exact mode averages over every floor(n/2)-subset.
     """
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     n = inst.n
     k1 = n // 2
     sigs = inst.signals

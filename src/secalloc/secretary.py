@@ -1,22 +1,34 @@
 """Non-strategic online allocation under random arrival order.
 
-Two flavors of sample-then-greedy runs are provided:
+Every online run here has one shape: agents arrive in order, the first k
+only reveal their signals, and each later agent takes a bundle out of the
+items still available.  One private engine, :func:`_arrive`, owns that
+loop: it keeps the arrived-agent and available-item bitmasks, skips the
+first k agents, asks a per-step policy ``decide(agent, arrived_mask,
+avail_mask) -> taken_mask`` about each later one, and yields
+``(t, agent, avail, taken)`` for every arrival.  The runs below differ
+only in their policy:
 
-* :func:`run_sample_then_greedy` — skip a sample prefix, then at each
-  step recompute an optimal allocation of *all* items under the signals
-  observed so far and hand the arriving agent the still-available part
-  of her bundle.  The sample size k is a parameter: k = floor(n/e) for
-  valuations subadditive over signals, k = floor(n/2) for valuations XOS
-  over signals.
+* :func:`run_sample_then_greedy` — at each step recompute an optimal
+  allocation of *all* items under the signals observed so far and hand
+  the arriving agent the still-available part of her bundle.  The sample
+  size k is a parameter: k = floor(n/e) for valuations subadditive over
+  signals, k = floor(n/2) for valuations XOS over signals.
 * :func:`run_sample_then_match` — the classical matching variant for
   fixed (non-interdependent) unit-demand weights: after the sample, each
   step matches the arrived agents to the *available* items only and the
   arriving agent keeps her matched item.
+* :func:`run_proxy_framework` lifts any classical online algorithm to the
+  interdependent setting by spending the first half of the agents purely
+  on signal information and running the algorithm on the residual agents
+  with frozen proxy valuations.
 
-:func:`run_proxy_framework` lifts any classical online algorithm to the
-interdependent setting by spending the first half of the agents purely
-on signal information and running the algorithm on the residual agents
-with frozen proxy valuations.
+A blackbox for the framework is called as ``blackbox(arrivals,
+num_items)``.  ``arrivals`` lists ``(agent, table)`` pairs in arrival
+order, where ``table[mask]`` is the agent's proxy value of the bundle
+whose item bitmask is ``mask`` (read-only; 2^num_items entries).  It
+returns ``{agent: frozenset of items}``.  The survival probabilities and
+the truthful mechanism (:mod:`secalloc.mechanism`) run on the same engine.
 """
 
 from __future__ import annotations
@@ -25,11 +37,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ._util import bits_of, mask_of, set_of, trial_rng
 from .errors import CapabilityError, ValidationError
-from .offline import WeightOracle, opt_matching, solve_from_tables
+from .offline import opt_matching, solve_from_tables
 from .valuations import Instance, bundle_value_table, mask_signals
 
 __all__ = [
@@ -39,7 +51,6 @@ __all__ = [
     "run_sample_then_greedy",
     "run_sample_then_match",
     "run_proxy_framework",
-    "blackbox_nothing",
     "make_sample_then_greedy_blackbox",
     "make_sample_then_match_blackbox",
     "survival_probability",
@@ -63,7 +74,7 @@ def sample_size(n: int, rule: str) -> int:
 
 @dataclass(frozen=True)
 class ArrivalOrder:
-    """The order agents arrive in; a permutation of the agent ids."""
+    """The order agents arrive in: distinct nonnegative agent ids."""
 
     agents: tuple
 
@@ -71,6 +82,8 @@ class ArrivalOrder:
         ag = tuple(int(a) for a in agents)
         if len(set(ag)) != len(ag):
             raise ValidationError("arrival order repeats an agent")
+        if min(ag, default=0) < 0:
+            raise ValidationError("agent ids must be nonnegative")
         object.__setattr__(self, "agents", ag)
 
     def __len__(self) -> int:
@@ -142,6 +155,37 @@ class RunResult:
         return [json.dumps(rec.to_json(), sort_keys=True) for rec in self.trace]
 
 
+def _arrive(
+    order: Sequence[int], num_items: int, k: int, decide: Callable[[int, int, int], int]
+) -> Iterator[tuple]:
+    """The one arrival loop: yield ``(t, agent, avail, taken)`` per arrival.
+
+    ``avail`` is the item bitmask still available when agent arrives at
+    step t (1-based).  The first k agents take nothing; every later one
+    takes ``decide(agent, arrived_mask, avail)``, which must be a submask
+    of ``avail``; ``arrived_mask`` includes the agent itself.
+    """
+    avail = (1 << num_items) - 1
+    amask = 0
+    for t, agent in enumerate(order, start=1):
+        amask |= 1 << agent
+        taken = decide(agent, amask, avail) if t > k else 0
+        yield t, agent, avail, taken
+        avail &= ~taken
+
+
+def _run_result(steps, welfare: Callable[[dict], object], opt_scope: str) -> RunResult:
+    """Record an engine run; ``welfare`` scores the agents' bundle masks."""
+    trace = []
+    taken_by: dict[int, int] = {}
+    for t, agent, avail, taken in steps:
+        trace.append(StepRecord(t, agent, set_of(avail), set_of(taken)))
+        if taken:
+            taken_by[agent] = taken
+    bundles = {i: set_of(bm) for i, bm in taken_by.items()}
+    return RunResult(bundles, welfare(taken_by), tuple(trace), opt_scope)
+
+
 class InstanceRuntime:
     """Per-instance caches shared across many runs (orders) of one instance.
 
@@ -181,17 +225,16 @@ class InstanceRuntime:
             self._step_opt[amask] = hit
         return hit
 
+    def greedy_step(self, agent: int, amask: int, avail: int) -> int:
+        """Sample-then-greedy's policy: the available part of the agent's step-optimal bundle."""
+        return self.step_opt(amask)[1].get(agent, 0) & avail
+
     def true_welfare(self, bundle_masks: Mapping[int, int]):
         full = (1 << self.inst.n) - 1
         total = 0
         for i in sorted(bundle_masks):
             total += self.table(i, full)[bundle_masks[i]]
         return total
-
-    def proxy_oracle(self, agent: int, sample_mask: int) -> WeightOracle:
-        """Valuation frozen at the sample's signals plus the agent's own."""
-        tab = self.table(agent, sample_mask | (1 << agent))
-        return WeightOracle(agent, lambda bundle, _t=tab: _t[mask_of(bundle)])
 
 
 def run_sample_then_greedy(
@@ -211,25 +254,7 @@ def run_sample_then_greedy(
     if not (0 <= k < inst.n):
         raise ValidationError(f"sample size k={k} must satisfy 0 <= k < n={inst.n}")
     rt = runtime if runtime is not None else InstanceRuntime(inst)
-
-    avail = (1 << inst.m) - 1
-    amask = 0
-    trace = []
-    bundle_masks: dict[int, int] = {}
-    for t0, agent in enumerate(order):
-        t = t0 + 1
-        amask |= 1 << agent
-        taken = 0
-        if t > k:
-            _, masks = rt.step_opt(amask)
-            taken = masks.get(agent, 0) & avail
-            if taken:
-                bundle_masks[agent] = taken
-        trace.append(StepRecord(t, agent, set_of(avail), set_of(taken)))
-        avail &= ~taken
-
-    bundles = {i: set_of(bm) for i, bm in bundle_masks.items()}
-    return RunResult(bundles, rt.true_welfare(bundle_masks), tuple(trace), "all_items")
+    return _run_result(_arrive(order, inst.m, k, rt.greedy_step), rt.true_welfare, "all_items")
 
 
 def run_sample_then_match(
@@ -243,7 +268,9 @@ def run_sample_then_match(
     """Secretary matching on fixed unit-demand weights, available items only.
 
     Welfare is the sum of matched weights (the weights are the final
-    word here: there is no interdependence left at this layer).
+    word here: there is no interdependence left at this layer).  Step
+    optima are memoized in ``cache`` by (arrived-agent mask, available
+    item mask).
     """
     if not isinstance(order, ArrivalOrder):
         order = ArrivalOrder(order)
@@ -256,80 +283,50 @@ def run_sample_then_match(
         raise ValidationError(f"sample size k={k} must satisfy 0 <= k < n={n}")
     memo = cache if cache is not None else {}
 
-    items = list(range(num_items))
-    avail = (1 << num_items) - 1
-    arrived: list[int] = []
-    trace = []
-    bundles: dict[int, frozenset] = {}
-    welfare = 0
-    for t0, agent in enumerate(order):
-        t = t0 + 1
-        arrived.append(agent)
-        taken = 0
-        if t > k and avail:
-            key = (frozenset(arrived), avail)
-            alloc = memo.get(key)
-            if alloc is None:
-                alloc = opt_matching(arrived, weights, [j for j in items if avail >> j & 1])
-                memo[key] = alloc
-            bundle = alloc.bundle_of(agent)
-            if bundle:
-                (j,) = bundle
-                taken = 1 << j
-                bundles[agent] = bundle
-                welfare += weights[agent][j]
-        trace.append(StepRecord(t, agent, set_of(avail), set_of(taken)))
-        avail &= ~taken
-    return RunResult(bundles, welfare, tuple(trace), "available_items")
+    def match_step(agent: int, amask: int, avail: int) -> int:
+        if not avail:
+            return 0
+        alloc = memo.get((amask, avail))
+        if alloc is None:
+            alloc = opt_matching(bits_of(amask), weights, bits_of(avail))
+            memo[amask, avail] = alloc
+        return mask_of(alloc.bundle_of(agent))
+
+    def matched_weight(taken_by: dict) -> object:
+        return sum(weights[i][bm.bit_length() - 1] for i, bm in taken_by.items())
+
+    return _run_result(_arrive(order, num_items, k, match_step), matched_weight, "available_items")
 
 
 Blackbox = Callable[[Sequence, int], Mapping[int, frozenset]]
 
 
-def blackbox_nothing(arrivals, num_items) -> dict:
-    """Degenerate online algorithm: never allocates anything."""
-    return {}
-
-
 def make_sample_then_greedy_blackbox(k: Optional[int] = None) -> Blackbox:
-    """Classical sample-then-greedy over all items, on frozen oracles."""
+    """Classical sample-then-greedy over all items, on frozen bundle tables."""
 
     def run(arrivals, num_items):
-        n = len(arrivals)
-        kk = int(n / math.e) if k is None else k
-        tables = {
-            agent: [oracle.fn(set_of(mask)) for mask in range(1 << num_items)]
-            for agent, oracle in arrivals
-        }
-        avail = (1 << num_items) - 1
-        arrived: list[int] = []
-        out: dict[int, frozenset] = {}
-        for t0, (agent, _) in enumerate(arrivals):
-            arrived.append(agent)
-            if t0 + 1 <= kk:
-                continue
-            ag = sorted(arrived)
-            alloc = solve_from_tables(ag, [tables[a] for a in ag], range(num_items))
-            taken = mask_of(alloc.bundle_of(agent)) & avail
-            if taken:
-                out[agent] = set_of(taken)
-            avail &= ~taken
-        return out
+        tables = dict(arrivals)
+
+        def greedy_step(agent: int, amask: int, avail: int) -> int:
+            agents = bits_of(amask)
+            alloc = solve_from_tables(agents, [tables[a] for a in agents], range(num_items))
+            return mask_of(alloc.bundle_of(agent)) & avail
+
+        kk = int(len(arrivals) / math.e) if k is None else k
+        order = [agent for agent, _ in arrivals]
+        steps = _arrive(order, num_items, kk, greedy_step)
+        return {agent: set_of(taken) for _, agent, _, taken in steps if taken}
 
     return run
 
 
 def make_sample_then_match_blackbox(k: Optional[int] = None) -> Blackbox:
-    """Classical secretary matching; oracles must be unit-demand."""
+    """Classical secretary matching; the tables must be unit-demand."""
 
     def run(arrivals, num_items):
-        weights = {
-            agent: [oracle.fn(frozenset({j})) for j in range(num_items)]
-            for agent, oracle in arrivals
-        }
+        weights = {agent: [tab[1 << j] for j in range(num_items)] for agent, tab in arrivals}
         order = ArrivalOrder(agent for agent, _ in arrivals)
-        result = run_sample_then_match(weights, num_items, order, k)
-        return dict(result.bundles)
+        return dict(run_sample_then_match(weights, num_items, order, k).bundles)
 
     return run
 
@@ -356,34 +353,25 @@ def run_proxy_framework(
     k1 = inst.n // 2
     sample_mask = mask_of(order.agents[:k1])
 
-    arrivals = [(agent, rt.proxy_oracle(agent, sample_mask)) for agent in order.agents[k1:]]
-    raw = blackbox(arrivals, inst.m)
+    residual = order.agents[k1:]
+    raw = blackbox([(a, rt.table(a, sample_mask | 1 << a)) for a in residual], inst.m)
 
-    residual = set(order.agents[k1:])
-    bundle_masks: dict[int, int] = {}
+    given: dict[int, int] = {}
     for agent, bundle in raw.items():
         if agent not in residual:
             raise RuntimeError(f"blackbox allocated to non-residual agent {agent}")
         bm = mask_of(bundle)
         if bm & ~((1 << inst.m) - 1):
             raise RuntimeError(f"blackbox allocated unknown items to agent {agent}")
-        bundle_masks[agent] = bm
+        given[agent] = bm
 
-    trace = []
-    avail = (1 << inst.m) - 1
-    for t0, agent in enumerate(order):
-        t = t0 + 1
-        taken = 0
-        if t > k1:
-            taken = bundle_masks.get(agent, 0)
-            if taken & ~avail:
-                raise RuntimeError(f"blackbox gave agent {agent} an unavailable item")
-        trace.append(StepRecord(t, agent, set_of(avail), set_of(taken)))
-        avail &= ~taken
+    def replay(agent: int, amask: int, avail: int) -> int:
+        taken = given.get(agent, 0)
+        if taken & ~avail:
+            raise RuntimeError(f"blackbox gave agent {agent} an unavailable item")
+        return taken
 
-    bundle_masks = {i: bm for i, bm in bundle_masks.items() if bm}
-    bundles = {i: set_of(bm) for i, bm in bundle_masks.items()}
-    return RunResult(bundles, rt.true_welfare(bundle_masks), tuple(trace), "available_items")
+    return _run_result(_arrive(order, inst.m, k1, replay), rt.true_welfare, "available_items")
 
 
 def survival_probability(
@@ -399,26 +387,23 @@ def survival_probability(
 ):
     """Probability that ``item`` is still unallocated after ``step`` steps.
 
-    Runs :func:`run_sample_then_greedy` with sample size k over arrival
-    orders.  Exact mode enumerates all n! orders and returns a Fraction;
-    Monte Carlo returns a float over ``trials`` seeded orders.
+    Runs the sample-then-greedy policy with sample size k for the first
+    ``step`` arrivals of each order.  Exact mode enumerates all n! orders
+    and returns a Fraction; Monte Carlo returns a float over ``trials``
+    seeded orders.
     """
     if not (0 <= item < inst.m):
         raise ValidationError(f"item {item} out of range for m={inst.m}")
     if not (1 <= step <= inst.n):
         raise ValidationError(f"step {step} out of range for n={inst.n}")
+    if trials < 1:
+        raise ValidationError("trials must be >= 1")
     rt = runtime if runtime is not None else InstanceRuntime(inst)
 
     def survives(order_seq) -> bool:
-        avail = (1 << inst.m) - 1
-        amask = 0
-        for t0 in range(step):
-            agent = order_seq[t0]
-            amask |= 1 << agent
-            if t0 + 1 > k:
-                _, masks = rt.step_opt(amask)
-                avail &= ~(masks.get(agent, 0) & avail)
-        return bool(avail >> item & 1)
+        for t, _, avail, taken in _arrive(order_seq, inst.m, k, rt.greedy_step):
+            if t == step:
+                return bool((avail & ~taken) >> item & 1)
 
     if mode == "exact":
         if inst.n > 7:

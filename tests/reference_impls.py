@@ -120,3 +120,28 @@ def ref_run_sample_then_greedy(inst, order, k):
         eval_valuation(inst.specs[a], bundles[a], inst.signals) for a in sorted(bundles)
     )
     return bundles, welfare
+
+
+def ref_run_sample_then_match(weights, num_items, order, k):
+    """Step the available-items matching secretary literally, on sets.
+
+    Returns (trace, bundles, welfare): trace lists (t, agent, available,
+    bundle) per arrival, bundles are in arrival order and welfare sums
+    the matched weights in arrival order.
+    """
+    available = frozenset(range(num_items))
+    arrived = []
+    trace, bundles, welfare = [], {}, 0
+    for t, agent in enumerate(order, start=1):
+        arrived.append(agent)
+        mine = frozenset()
+        if t > k and available:
+            step_bundles, _, _ = ref_matching_brute(arrived, weights, available)
+            mine = step_bundles.get(agent, frozenset())
+        trace.append((t, agent, available, mine))
+        if mine:
+            (j,) = mine
+            bundles[agent] = mine
+            welfare += weights[agent][j]
+            available = available - mine
+    return trace, bundles, welfare

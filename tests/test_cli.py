@@ -75,6 +75,18 @@ def test_usage_errors_exit_one(tmp_path):
     assert out.returncode == 1
 
 
+def test_bad_counts_exit_one(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    run_cli("generate", "--n", "4", "--m", "2", "--family", "separable_linear",
+            "--seed", "1", "--out", str(inst_path))
+    out = run_cli("audit", "--instance", str(inst_path), "--grid-points", "1")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "grid_points" in out.stderr
+    out = run_cli("run", "--instance", str(inst_path), "--alg", "alg1", "--trials", "0")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "trials" in out.stderr
+
+
 def test_audit_rejects_non_separable(tmp_path):
     inst_path = tmp_path / "inst.json"
     run_cli("generate", "--n", "4", "--m", "2", "--family", "xos_linear",

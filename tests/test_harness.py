@@ -104,6 +104,10 @@ def test_experiment_config_validation():
         ExperimentConfig("alg1", trials=0)
     with pytest.raises(ValidationError):
         ExperimentConfig("alg1", mode="sometimes")
+    with pytest.raises(ValidationError, match="blackbox"):
+        ExperimentConfig("framework", blackbox="bogus")
+    with pytest.raises(ValidationError, match="blackbox"):
+        ExperimentConfig("alg1", blackbox="bogus")
 
 
 def test_ratio_stats_invariants():

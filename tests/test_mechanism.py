@@ -156,6 +156,16 @@ def test_mechanism_validations():
         run_mechanism(small, ArrivalOrder.identity(2))
 
 
+def test_audit_counts_are_validated_before_any_run():
+    inst = generate_instance(GeneratorParams(4, 2, "separable_linear"), seed=0)
+    order = ArrivalOrder.identity(4)
+    for points in (1, 0):
+        with pytest.raises(ValidationError, match="grid_points"):
+            check_epic(inst, order, 3, grid_points=points)
+    with pytest.raises(ValidationError, match="trials"):
+        check_random_sampling_bound(inst, "monte_carlo", trials=0)
+
+
 def test_outcome_invariant_rejects_payment_without_items():
     with pytest.raises(ValidationError):
         MechanismOutcome(

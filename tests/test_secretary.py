@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from reference_impls import ref_run_sample_then_greedy
+from reference_impls import ref_run_sample_then_greedy, ref_run_sample_then_match
 
 from secalloc import (
     ArrivalOrder,
@@ -15,7 +17,6 @@ from secalloc import (
     SignalWeight,
     ValidationError,
     XOSValuation,
-    blackbox_nothing,
     check_tail_harmonic_sum,
     eval_valuation,
     make_sample_then_greedy_blackbox,
@@ -28,6 +29,11 @@ from secalloc import (
 from secalloc.secretary import InstanceRuntime, random_valid_tail_sequence
 from secalloc.valuations import Instance
 from secalloc.harness import GeneratorParams, generate_instance
+
+
+# Deterministic and free of wall-clock checks, so tier-1 runs repeat exactly.
+DERANDOMIZED = settings(derandomize=True, deadline=None, database=None,
+                        suppress_health_check=[HealthCheck.too_slow])
 
 
 def signal_free_additive_instance(weight_rows):
@@ -95,6 +101,13 @@ def test_run_validations():
         ArrivalOrder([0, 0, 1])
 
 
+def test_negative_agent_ids_are_rejected_at_the_boundary():
+    with pytest.raises(ValidationError, match="nonnegative"):
+        ArrivalOrder([0, -1])
+    with pytest.raises(ValidationError, match="nonnegative"):
+        run_sample_then_match({-1: [1.0, 2.0], -2: [2.0, 1.0]}, 2, [-1, -2], 0)
+
+
 def test_trace_serializes_to_json_lines():
     import json
 
@@ -152,7 +165,7 @@ def test_sample_then_match_default_sample_size():
 
 def test_framework_with_nothing_blackbox():
     inst = generate_instance(GeneratorParams(4, 3, "xos_linear"), seed=1)
-    res = run_proxy_framework(inst, ArrivalOrder.identity(4), blackbox_nothing)
+    res = run_proxy_framework(inst, ArrivalOrder.identity(4), lambda arrivals, m: {})
     assert res.welfare == 0 and res.bundles == {}
 
 
@@ -202,7 +215,7 @@ def test_framework_rejects_overlapping_blackbox_output():
 def test_framework_needs_two_agents():
     inst = generate_instance(GeneratorParams(1, 2, "xos_linear"), seed=0)
     with pytest.raises(ValidationError):
-        run_proxy_framework(inst, ArrivalOrder.identity(1), blackbox_nothing)
+        run_proxy_framework(inst, ArrivalOrder.identity(1), lambda arrivals, m: {})
 
 
 def test_survival_is_one_during_the_sample_phase():
@@ -233,6 +246,48 @@ def test_survival_capability_and_validation():
     small = generate_instance(GeneratorParams(3, 2, "additive"), seed=0)
     with pytest.raises(ValidationError):
         survival_probability(small, 5, 2, 1)
+    with pytest.raises(ValidationError, match="trials"):
+        survival_probability(small, 0, 2, 1, mode="monte_carlo", trials=0)
+
+
+# --- the arrival engine against literal references --------------------------
+
+WEIGHTS = st.one_of(st.floats(0.0, 1.0, allow_nan=False),
+                    st.sampled_from([0.0, 0.25, 0.5, 1.0]))  # ties and zeros
+
+
+@DERANDOMIZED
+@given(data=st.data())
+def test_sample_then_match_equals_reference(data):
+    n = data.draw(st.integers(1, 5))
+    m = data.draw(st.integers(1, 3))
+    ids = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True))
+    weights = {a: [data.draw(WEIGHTS) for _ in range(m)] for a in ids}
+    k = data.draw(st.integers(0, n - 1))
+    cache: dict = {}  # shared across orders, as estimate_ratio shares it
+    for _ in range(3):
+        order = data.draw(st.permutations(ids))
+        res = run_sample_then_match(weights, m, order, k, cache=cache)
+        trace, bundles, welfare = ref_run_sample_then_match(weights, m, order, k)
+        assert [(r.t, r.agent, r.available, r.bundle) for r in res.trace] == trace
+        assert repr(res.bundles) == repr(bundles)
+        assert repr(res.welfare) == repr(welfare)
+
+
+@DERANDOMIZED
+@given(family=st.sampled_from(["additive", "xos_linear", "xos_capped"]),
+       n=st.integers(2, 4), m=st.integers(1, 3), seed=st.integers(0, 50), data=st.data())
+def test_exact_survival_equals_reference_count(family, n, m, seed, data):
+    inst = generate_instance(GeneratorParams(n, m, family), seed=seed)
+    item = data.draw(st.integers(0, m - 1))
+    step = data.draw(st.integers(1, n))
+    k = data.draw(st.integers(0, n - 1))
+    survived = 0
+    for perm in itertools.permutations(range(n)):
+        bundles, _ = ref_run_sample_then_greedy(inst, perm[:step], k)
+        survived += not any(item in b for b in bundles.values())
+    want = Fraction(survived, math.factorial(n))
+    assert survival_probability(inst, item, step, k) == want
 
 
 def test_prefix_sets_are_uniform_t_subsets():

