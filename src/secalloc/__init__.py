@@ -30,7 +30,7 @@ from .structure_checks import (
     check_xos_over_items,
     check_xos_over_signals,
 )
-from .offline import Allocation, WeightOracle, opt_dispatch, opt_general, opt_matching
+from .offline import Allocation, opt_dispatch, opt_general, opt_matching
 from .secretary import (
     ArrivalOrder,
     InstanceRuntime,
@@ -48,10 +48,8 @@ from .secretary import (
 from .mechanism import (
     EpicAudit,
     MechanismOutcome,
-    agent_utility,
     check_epic,
     check_random_sampling_bound,
-    price_ledger_csv,
     run_mechanism,
 )
 from .harness import (
@@ -63,6 +61,5 @@ from .harness import (
     estimate_ratio,
     export_report,
     generate_instance,
-    import_report,
 )
 from .instance_io import instance_from_json, instance_to_json, load_instance, save_instance

@@ -48,7 +48,6 @@ __all__ = [
     "generate_instance",
     "estimate_ratio",
     "export_report",
-    "import_report",
 ]
 
 FAMILIES = (
@@ -225,8 +224,6 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
     opt_true = opt_dispatch(
         inst, range(inst.n), lambda i: inst.signals, table=lambda i: runtime.table(i, full)
     ).value
-    match_cache: dict = {}
-    mech_cache: dict = {}
 
     def welfare(order: ArrivalOrder):
         if config.alg == "alg1":
@@ -237,7 +234,8 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
             return run_sample_then_greedy(inst, order, k, runtime=runtime).welfare
         if config.alg == "rei19":
             k = config.k if config.k is not None else sample_size(inst.n, "n/e")
-            return run_sample_then_match(ud_weights, inst.m, order, k, cache=match_cache).welfare
+            res = run_sample_then_match(ud_weights, inst.m, order, k, cache=runtime.matchings)
+            return res.welfare
         if config.alg == "framework":
             style = config.blackbox
             if style == "auto":
@@ -248,7 +246,7 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
                 blackbox = make_sample_then_greedy_blackbox(config.k)
             return run_proxy_framework(inst, order, blackbox, runtime=runtime).welfare
         # Mechanism bundles are single items, worth their true item weight.
-        outcome = run_mechanism(inst, order, solver_cache=mech_cache)
+        outcome = run_mechanism(inst, order, solver_cache=runtime.matchings)
         total = 0
         for i in sorted(outcome.bundles):
             (j,) = outcome.bundles[i]
@@ -315,25 +313,3 @@ def export_report(
             raise ValidationError(f"unknown report format {fmt!r}")
     except OSError as exc:
         raise ValidationError(f"cannot write report to {path}: {exc}") from exc
-
-
-def import_report(path: Union[str, Path]) -> dict:
-    """Read a JSON report back; RatioStats fields round-trip exactly."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read report from {path}: {exc}") from exc
-    doc["results"] = [
-        RatioStats(
-            mean=row["mean"],
-            std_err=row["std_err"],
-            ci95=row["ci95"],
-            min_ratio=row["min_ratio"],
-            max_ratio=row["max_ratio"],
-            trials=row["trials"],
-            opt_value=row["opt_value"],
-        )
-        for row in doc.get("results", [])
-    ]
-    return doc

@@ -10,14 +10,15 @@ others-part for the fully-informed one; own-signal terms cancel, which
 is what makes truthful reporting a dominant choice once everyone else is
 truthful, for every fixed arrival order.
 
-Utilities are always scored at the *true* signals, whatever was
-reported.
+The matching at each priced step is :func:`secalloc.secretary._memo_matching`
+on the proxy weights, the same memoized step rei19 runs on true weights;
+its memo is keyed by content, so ``solver_cache`` may be shared across
+orders and report profiles.  Utilities are always scored at the *true*
+signals, whatever was reported.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,8 +26,8 @@ from typing import Mapping, Optional, Sequence
 
 from ._util import bits_of, mask_of, set_of, trial_rng
 from .errors import CapabilityError, ValidationError
-from .offline import opt_dispatch, opt_matching
-from .secretary import _arrive, _check_order
+from .offline import opt_dispatch
+from .secretary import _arrive, _check_order, _memo_matching
 from .valuations import (
     Instance,
     SeparableValuation,
@@ -38,12 +39,10 @@ __all__ = [
     "MechStep",
     "MechanismOutcome",
     "run_mechanism",
-    "agent_utility",
     "EpicAudit",
     "check_epic",
     "SamplingBoundCheck",
     "check_random_sampling_bound",
-    "price_ledger_csv",
 ]
 
 
@@ -110,7 +109,8 @@ def run_mechanism(
     p_t = OPT(prev agents; J^t) - OPT_others(cur agents; J^t)
           + g(bundle, all reports but own) - g(bundle, sample reports),
     finalized once all reports are known; agents with empty bundles pay
-    exactly 0 (the formula evaluates to 0 there as well).
+    exactly 0 (the formula evaluates to 0 there as well).  Matchings are
+    memoized in ``solver_cache`` (see :func:`secalloc.secretary._memo_matching`).
     """
     _require_separable(inst)
     n = inst.n
@@ -139,27 +139,19 @@ def run_mechanism(
         spec = inst.specs[agent]
         w_vec[agent] = tuple(spec.item_weight(j, masked.values) for j in range(inst.m))
 
-    def matching(amask: int, avail: int):
-        agents = bits_of(amask)
-        key = (tuple((a, w_vec[a]) for a in agents), avail)
-        hit = memo.get(key)
-        if hit is None:
-            hit = opt_matching(agents, w_vec, bits_of(avail))
-            memo[key] = hit
-        return hit
-
+    sample_reports = mask_signals(reports, sample_set).values
     # MechStep fields (opt_prev, opt_minus, g_full, g_sample, price) per priced agent.
     priced: dict[int, tuple] = {}
 
     def price_step(agent: int, amask: int, avail: int) -> int:
         cur = amask & ~sample_mask
-        alloc = matching(cur, avail)
-        prev = matching(cur & ~(1 << agent), avail)
+        alloc = _memo_matching(memo, bits_of(cur), w_vec, avail)
+        prev = _memo_matching(memo, bits_of(cur & ~(1 << agent)), w_vec, avail)
         bundle = alloc.bundle_of(agent)
         opt_minus = alloc.value - alloc.per_agent_value.get(agent, 0)
         spec = inst.specs[agent]
         g_full = spec.others_value(bundle, mask_signals(reports, all_agents - {agent}).values)
-        g_sample = spec.others_value(bundle, mask_signals(reports, sample_set).values)
+        g_sample = spec.others_value(bundle, sample_reports)
         formula = prev.value - opt_minus + g_full - g_sample
         priced[agent] = (prev.value, opt_minus, g_full, g_sample, formula if bundle else 0.0)
         return mask_of(bundle)
@@ -180,14 +172,6 @@ def run_mechanism(
         for i in range(n)
     }
     return MechanismOutcome(bundles, payments, utilities, tuple(trace), k1, k2)
-
-
-def agent_utility(outcome: MechanismOutcome, inst: Instance, agent: int):
-    """True-signal utility: value of the received bundle minus the payment."""
-    if not (0 <= agent < inst.n):
-        raise ValidationError(f"agent {agent} out of range for n={inst.n}")
-    value = inst.specs[agent].value(outcome.bundle_of(agent), inst.signals.values)
-    return value - outcome.payments.get(agent, 0.0)
 
 
 @dataclass(frozen=True)
@@ -324,21 +308,3 @@ def check_random_sampling_bound(
         lhs = sum(vals) / trials
         return SamplingBoundCheck(lhs, rhs, lhs >= rhs - tol, trials)
     raise ValidationError(f"unknown mode {mode!r}")
-
-
-def price_ledger_csv(outcome: MechanismOutcome) -> str:
-    """Render the per-step price ledger as CSV text."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "agent", "opt_prev", "opt_minus", "g_full", "g_sample", "price"])
-    for step in outcome.trace:
-        writer.writerow([
-            step.t,
-            step.agent,
-            "" if step.opt_prev is None else float(step.opt_prev),
-            "" if step.opt_minus is None else float(step.opt_minus),
-            "" if step.g_full is None else float(step.g_full),
-            "" if step.g_sample is None else float(step.g_sample),
-            float(step.price),
-        ])
-    return buf.getvalue()

@@ -26,7 +26,7 @@ it allocates anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ._util import integerize, set_of, submasks
 from .errors import CapabilityError, ValidationError
@@ -38,26 +38,9 @@ from .valuations import (
     bundle_value_table,
 )
 
-__all__ = ["WeightOracle", "Allocation", "opt_dispatch", "opt_general", "opt_matching"]
+__all__ = ["Allocation", "opt_dispatch", "opt_general", "opt_matching"]
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
-
-
-@dataclass(frozen=True)
-class WeightOracle:
-    """A bundle-valuation for one agent, fixed at some signal profile."""
-
-    agent: int
-    fn: Callable[[frozenset], object]
-
-    def evaluate(self, bundle: Iterable[int]):
-        return self.fn(frozenset(bundle))
-
-    @classmethod
-    def from_item_weights(cls, agent: int, weights: Sequence) -> "WeightOracle":
-        """Unit-demand oracle over a dense per-item weight vector."""
-        ws = tuple(weights)
-        return cls(agent, lambda bundle: max((ws[j] for j in bundle), default=0))
 
 
 @dataclass(frozen=True)
@@ -92,15 +75,6 @@ class Allocation:
 
     def bundle_of(self, agent: int) -> frozenset:
         return self.bundles.get(agent, frozenset())
-
-    def to_json(self) -> dict:
-        return {
-            "agents": sorted(self.agents),
-            "items": sorted(self.items),
-            "bundles": {str(i): sorted(b) for i, b in sorted(self.bundles.items())},
-            "per_agent_value": {str(i): float(v) for i, v in sorted(self.per_agent_value.items())},
-            "value": float(self.value),
-        }
 
 
 def _lex_codes(num_items: int, base: int) -> list[int]:
@@ -197,14 +171,15 @@ def solve_from_tables(
 
 def opt_general(
     agents: Iterable[int],
-    oracles: Mapping[int, Union[WeightOracle, Callable]],
+    oracles: Mapping[int, Callable[[frozenset], object]],
     items: Iterable[int],
     *,
     budget: int = DEFAULT_ENUMERATION_BUDGET,
 ) -> Allocation:
     """Welfare-maximizing partition of a subset of ``items`` among ``agents``.
 
-    Exact for arbitrary monotone bundle oracles; desk scale only.  The
+    ``oracles[i]`` maps a frozenset of items to agent i's value.  Exact
+    for arbitrary monotone bundle oracles; desk scale only.  The
     candidate-assignment count (|A|+1)^|J| is the capability guard.
     """
     ag = sorted(set(agents))
@@ -216,8 +191,7 @@ def opt_general(
         )
     tables = []
     for i in ag:
-        oracle = oracles[i]
-        fn = oracle.evaluate if isinstance(oracle, WeightOracle) else oracle
+        fn = oracles[i]
         tab = [fn(frozenset(it[b] for b in set_of(mask))) for mask in range(1 << len(it))]
         tables.append(tab)
     return solve_from_tables(ag, tables, it, budget=budget)
@@ -298,10 +272,8 @@ def opt_matching(
         row = []
         for j in it:
             w = weights[i][j]
-            if not (w >= 0) or (isinstance(w, float) and w != w):
+            if not (0 <= w < float("inf")):
                 raise ValidationError(f"weight for agent {i}, item {j} must be finite nonnegative")
-            if isinstance(w, float) and w == float("inf"):
-                raise ValidationError(f"weight for agent {i}, item {j} must be finite")
             row.append(w)
         w_rows.append(row)
 

@@ -17,7 +17,10 @@ only in their policy:
 * :func:`run_sample_then_match` — the classical matching variant for
   fixed (non-interdependent) unit-demand weights: after the sample, each
   step matches the arrived agents to the *available* items only and the
-  arriving agent keeps her matched item.
+  arriving agent keeps her matched item.  That matching step is
+  :func:`_memo_matching`, which the truthful mechanism runs on frozen
+  proxy weights too; its memo is keyed by content, so one dict can be
+  shared across orders, reports and weight maps.
 * :func:`run_proxy_framework` lifts any classical online algorithm to the
   interdependent setting by spending the first half of the agents purely
   on signal information and running the algorithm on the residual agents
@@ -137,7 +140,6 @@ class RunResult:
     bundles: Mapping[int, frozenset]
     welfare: object
     trace: tuple
-    opt_scope: str  # "all_items" or "available_items"
 
     def __post_init__(self):
         seen: set = set()
@@ -174,7 +176,7 @@ def _arrive(
         avail &= ~taken
 
 
-def _run_result(steps, welfare: Callable[[dict], object], opt_scope: str) -> RunResult:
+def _run_result(steps, welfare: Callable[[dict], object]) -> RunResult:
     """Record an engine run; ``welfare`` scores the agents' bundle masks."""
     trace = []
     taken_by: dict[int, int] = {}
@@ -183,7 +185,25 @@ def _run_result(steps, welfare: Callable[[dict], object], opt_scope: str) -> Run
         if taken:
             taken_by[agent] = taken
     bundles = {i: set_of(bm) for i, bm in taken_by.items()}
-    return RunResult(bundles, welfare(taken_by), tuple(trace), opt_scope)
+    return RunResult(bundles, welfare(taken_by), tuple(trace))
+
+
+def _memo_matching(memo: dict, agents: Sequence[int], weights: Mapping[int, tuple], avail: int):
+    """Optimal matching of ``agents`` to the items of bitmask ``avail``, memoized.
+
+    The key is ``(tuple((a, weights[a]) for a in agents), avail)``: the
+    agents with their weight tuples, and the items.  A hit is therefore
+    the matching of the same input, whichever run, order, report or
+    weight map stored it, and :func:`opt_matching` runs only on a miss.
+    One dict must not mix the float and ``Fraction`` forms of an
+    instance: ``0.5 == Fraction(1, 2)``, so a hit could return the other
+    form's values.
+    """
+    key = (tuple((a, weights[a]) for a in agents), avail)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = opt_matching(agents, weights, bits_of(avail))
+    return hit
 
 
 class InstanceRuntime:
@@ -192,13 +212,16 @@ class InstanceRuntime:
     Step optima depend only on the *set* of arrived agents, so they are
     memoized by agent bitmask.  Tables are built on first use, so paths
     that never read one (matching, the mechanism) do no 2^m work; all are
-    exact in the numeric domain of the instance's signals.
+    exact in the numeric domain of the instance's signals.  ``matchings``
+    is the :func:`_memo_matching` memo of the instance's rei19 and
+    mechanism runs.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
         self._tables: dict = {}
         self._step_opt: dict = {}
+        self.matchings: dict = {}
 
     def table(self, agent: int, amask: int):
         key = (agent, amask)
@@ -254,7 +277,7 @@ def run_sample_then_greedy(
     if not (0 <= k < inst.n):
         raise ValidationError(f"sample size k={k} must satisfy 0 <= k < n={inst.n}")
     rt = runtime if runtime is not None else InstanceRuntime(inst)
-    return _run_result(_arrive(order, inst.m, k, rt.greedy_step), rt.true_welfare, "all_items")
+    return _run_result(_arrive(order, inst.m, k, rt.greedy_step), rt.true_welfare)
 
 
 def run_sample_then_match(
@@ -269,8 +292,8 @@ def run_sample_then_match(
 
     Welfare is the sum of matched weights (the weights are the final
     word here: there is no interdependence left at this layer).  Step
-    optima are memoized in ``cache`` by (arrived-agent mask, available
-    item mask).
+    optima are memoized in ``cache`` by :func:`_memo_matching`, so a
+    cache may be shared across calls with different weights.
     """
     if not isinstance(order, ArrivalOrder):
         order = ArrivalOrder(order)
@@ -282,20 +305,17 @@ def run_sample_then_match(
     if not (0 <= k < n):
         raise ValidationError(f"sample size k={k} must satisfy 0 <= k < n={n}")
     memo = cache if cache is not None else {}
+    weights = {a: tuple(ws) for a, ws in weights.items()}
 
     def match_step(agent: int, amask: int, avail: int) -> int:
         if not avail:
             return 0
-        alloc = memo.get((amask, avail))
-        if alloc is None:
-            alloc = opt_matching(bits_of(amask), weights, bits_of(avail))
-            memo[amask, avail] = alloc
-        return mask_of(alloc.bundle_of(agent))
+        return mask_of(_memo_matching(memo, bits_of(amask), weights, avail).bundle_of(agent))
 
     def matched_weight(taken_by: dict) -> object:
         return sum(weights[i][bm.bit_length() - 1] for i, bm in taken_by.items())
 
-    return _run_result(_arrive(order, num_items, k, match_step), matched_weight, "available_items")
+    return _run_result(_arrive(order, num_items, k, match_step), matched_weight)
 
 
 Blackbox = Callable[[Sequence, int], Mapping[int, frozenset]]
@@ -371,7 +391,7 @@ def run_proxy_framework(
             raise RuntimeError(f"blackbox gave agent {agent} an unavailable item")
         return taken
 
-    return _run_result(_arrive(order, inst.m, k1, replay), rt.true_welfare, "available_items")
+    return _run_result(_arrive(order, inst.m, k1, replay), rt.true_welfare)
 
 
 def survival_probability(

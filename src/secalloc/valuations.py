@@ -44,10 +44,10 @@ __all__ = [
 
 
 def _check_nonneg(x, what: str):
-    if isinstance(x, float) and math.isnan(x):
-        raise ValidationError(f"{what} must not be NaN")
-    if x < 0:
-        raise ValidationError(f"{what} must be nonnegative, got {x!r}")
+    # NaN fails the comparison; comparing with math.inf (not math.isinf)
+    # keeps huge Fractions valid.
+    if not (0 <= x < math.inf):
+        raise ValidationError(f"{what} must be finite and nonnegative, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -71,9 +71,6 @@ class SignalProfile:
 
     def __getitem__(self, i: int):
         return self.values[i]
-
-    def mask(self, agents: Iterable[int]) -> "SignalProfile":
-        return mask_signals(self, agents)
 
 
 def mask_signals(profile: SignalProfile, agents: Iterable[int]) -> SignalProfile:
@@ -309,16 +306,6 @@ class SeparableValuation(ValuationSpec):
         if not b:
             return 0
         return max(self.item_weight(j, signals) for j in b)
-
-    def own_value(self, bundle: Iterable[int], signals):
-        """Own-signal part on a bundle of at most one item."""
-        b = self._validate_bundle(bundle)
-        if not b:
-            return 0
-        if len(b) > 1:
-            raise ValidationError("own_value is defined for bundles of size <= 1")
-        (j,) = b
-        return self.own[j](signals)
 
     def others_value(self, bundle: Iterable[int], signals):
         """Others'-signals part on a bundle of at most one item."""

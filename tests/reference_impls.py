@@ -9,11 +9,30 @@ welfare maximizers, the lexicographically smallest assignment vector
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from secalloc.valuations import SignalProfile, eval_valuation, mask_signals
+
+
+@dataclass(frozen=True)
+class WeightOracle:
+    """One agent's bundle valuation at a fixed signal profile, called on a bundle."""
+
+    agent: int
+    fn: Callable[[frozenset], object]
+
+    def __call__(self, bundle):
+        return self.fn(frozenset(bundle))
+
+    @classmethod
+    def from_item_weights(cls, agent, weights):
+        """Unit-demand oracle over a dense per-item weight vector."""
+        ws = tuple(weights)
+        return cls(agent, lambda bundle: max((ws[j] for j in bundle), default=0))
 
 
 def ref_integerize(values):

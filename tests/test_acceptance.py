@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from reference_impls import WeightOracle
+
 from secalloc import (
     ArrivalOrder,
     ExperimentConfig,
@@ -28,7 +30,6 @@ from secalloc import (
     opt_matching,
     survival_probability,
 )
-from secalloc.offline import WeightOracle
 from secalloc.secretary import InstanceRuntime, random_valid_tail_sequence
 from secalloc.structure_checks import check_monotone, check_subadditive_over_signals
 

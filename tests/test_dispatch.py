@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_impls import WeightOracle
+
 import secalloc.secretary
 from secalloc import (
     ArrivalOrder,
@@ -20,7 +22,6 @@ from secalloc import (
     SignalWeight,
     UnitDemandValuation,
     ValidationError,
-    WeightOracle,
     bundle_value_table,
     estimate_ratio,
     generate_instance,

@@ -16,7 +16,6 @@ from secalloc import (
     estimate_ratio,
     export_report,
     generate_instance,
-    import_report,
     instance_to_json,
 )
 
@@ -129,15 +128,16 @@ def test_report_round_trip_and_byte_stability(tmp_path):
     export_report(stats, p2, "json", config=config)
     assert p1.read_bytes() == p2.read_bytes()
 
-    doc = import_report(p1)
+    with open(p1, encoding="utf-8") as fh:
+        doc = json.load(fh)
     (loaded,) = doc["results"]
-    assert loaded.mean == float(stats.mean)
-    assert loaded.std_err == stats.std_err
-    assert loaded.ci95 == stats.ci95
-    assert loaded.min_ratio == stats.min_ratio
-    assert loaded.max_ratio == stats.max_ratio
-    assert loaded.trials == stats.trials
-    assert loaded.opt_value == stats.opt_value
+    assert loaded["mean"] == float(stats.mean)
+    assert loaded["std_err"] == stats.std_err
+    assert loaded["ci95"] == stats.ci95
+    assert loaded["min_ratio"] == stats.min_ratio
+    assert loaded["max_ratio"] == stats.max_ratio
+    assert loaded["trials"] == stats.trials
+    assert loaded["opt_value"] == stats.opt_value
     assert doc["config"]["alg"] == "alg1"
 
 

@@ -8,13 +8,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reference_impls import ref_integerize, ref_matching_brute, ref_opt_brute
+from reference_impls import WeightOracle, ref_integerize, ref_matching_brute, ref_opt_brute
 
 from secalloc import (
     Allocation,
     CapabilityError,
     ValidationError,
-    WeightOracle,
     opt_general,
     opt_matching,
 )
@@ -224,13 +223,6 @@ def test_allocation_invariants_are_enforced():
             per_agent_value={0: 1.0},
             value=3.0,  # value does not match split
         )
-
-
-def test_allocation_round_trips_to_json():
-    alloc = opt_matching([0, 1], {0: [5.0, 4.0], 1: [4.0, 1.0]}, [0, 1])
-    doc = alloc.to_json()
-    assert doc["value"] == 8.0
-    assert doc["bundles"] == {"0": [1], "1": [0]}
 
 
 # --- exact integerization ----------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from reference_impls import ref_run_sample_then_greedy, ref_run_sample_then_match
@@ -272,6 +272,32 @@ def test_sample_then_match_equals_reference(data):
         assert [(r.t, r.agent, r.available, r.bundle) for r in res.trace] == trace
         assert repr(res.bundles) == repr(bundles)
         assert repr(res.welfare) == repr(welfare)
+
+
+@DERANDOMIZED
+@given(data=st.data())
+@example(data=None)  # two crossed weight maps on order [0, 1], k=0
+def test_match_cache_shared_across_weight_maps_equals_fresh_runs(data):
+    if data is None:
+        runs = [({0: [1.0, 0.0], 1: [0.0, 1.0]}, [0, 1], 0),
+                ({0: [0.0, 1.0], 1: [1.0, 0.0]}, [0, 1], 0)]
+        m = 2
+    else:
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.integers(1, 3))
+        ids = list(range(n))
+        runs = [({a: [data.draw(WEIGHTS) for _ in range(m)] for a in ids},
+                 data.draw(st.permutations(ids)), data.draw(st.integers(0, n - 1)))
+                for _ in range(4)]
+    cache: dict = {}  # one cache across every weight map
+    for weights, order, k in runs:
+        shared = run_sample_then_match(weights, m, order, k, cache=cache)
+        fresh = run_sample_then_match(weights, m, order, k)
+        assert repr(shared) == repr(fresh)
+        trace, bundles, welfare = ref_run_sample_then_match(weights, m, order, k)
+        assert [(r.t, r.agent, r.available, r.bundle) for r in shared.trace] == trace
+        assert repr(shared.bundles) == repr(bundles)
+        assert repr(shared.welfare) == repr(welfare)
 
 
 @DERANDOMIZED

@@ -72,6 +72,26 @@ def test_signal_profile_rejects_negative_and_nan():
         SignalProfile([float("nan")])
 
 
+def test_infinite_inputs_are_rejected_at_the_boundary():
+    inf = float("inf")
+    for build in (
+        lambda: SignalProfile([0.5, inf]),
+        lambda: SignalWeight([1.0, inf]),
+        lambda: SignalWeight([1.0], const=inf),
+        lambda: SignalWeight([1.0], cap=inf),
+    ):
+        with pytest.raises(ValidationError, match="finite"):
+            build()
+    # An infinite signal would turn 0 * inf into NaN inside the solvers.
+    specs = generate_instance(GeneratorParams(4, 2, "xos_linear"), seed=0).specs
+    with pytest.raises(ValidationError, match="signal 0"):
+        Instance(specs, [inf, 0.5, 0.5, 0.5])
+    # Huge exact values stay valid: the check never casts them to float.
+    huge = Fraction(10) ** 400
+    assert SignalWeight([huge], const=huge, cap=huge)([huge]) == huge
+    assert SignalProfile([huge]).values == (huge,)
+
+
 def test_single_clause_xos_is_additive():
     spec = XOSValuation([{0: const_weight(1, 2.0), 1: const_weight(1, 3.0)}], num_items=2)
     assert eval_valuation(spec, {0, 1}, SignalProfile([0.0])) == 5.0
