@@ -18,13 +18,16 @@ disagree on ties.
 
 :func:`opt_dispatch` is the one entry point for instance optima: it sends
 unit-demand and separable agents to the polynomial matching solver and
-everything else to the subset DP over bundle tables.  Every exponential
+everything else to the subset DP over bundle tables.  The matching is
+solved on its t x q matrix of agents and items, from the shorter side, in
+O(min(t, q)^2 * max(t, q)) exact integer steps.  Every exponential
 step raises :class:`CapabilityError` against an explicit budget before
 it allocates anything.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -198,56 +201,74 @@ def opt_general(
 
 
 def _min_cost_assignment(cost: list[list]) -> list[int]:
-    """Exact square assignment (Hungarian with potentials), O(N^3).
+    """Exact rectangular assignment of R <= C rows to columns, O(R^2 * C).
 
-    Works on arbitrary exact integers; returns the column of each row.
+    Every row gets a distinct column at least total cost; returns the
+    column of each row.  Each row is added by one shortest augmenting
+    path over the columns, keeping dual potentials (Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016),
+    so O(min^2 * max) for a t x q matching solved from its shorter side.
+    Works on arbitrary exact integers.  Ragged rows or R > C raise
+    :class:`ValidationError`: with fewer columns than rows the last
+    row's search would never reach a free column.
     """
     n = len(cost)
-    inf = float("inf")
-    u = [0] * (n + 1)
-    v = [0] * (n + 1)
-    p = [0] * (n + 1)
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = [inf] * (n + 1)
-        used = [False] * (n + 1)
+    m = len(cost[0]) if n else 0
+    if any(len(row) != m for row in cost):
+        raise ValidationError("cost rows must all have the same length")
+    if n > m:
+        raise ValidationError(f"{n} rows cannot take distinct columns out of {m}")
+    inf = math.inf
+    u = [0] * n
+    v = [0] * m
+    col4row = [-1] * n
+    row4col = [-1] * m
+    path = [0] * m
+    for cur in range(n):
+        dist = [inf] * m
+        remaining = list(range(m))
+        rows_seen = []
+        cols_seen = []
+        min_val = 0
+        i = cur
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = inf
-            j1 = 0
-            row = cost[i0 - 1]
-            ui = u[i0]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - ui - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
+            # Relax the columns not yet reached from row i, then settle the
+            # nearest one, preferring a free column on ties.
+            rows_seen.append(i)
+            row = cost[i]
+            off = min_val - u[i]
+            lowest = inf
+            best = -1
+            for idx, j in enumerate(remaining):
+                d = off + row[j] - v[j]
+                if d < dist[j]:
+                    path[j] = i
+                    dist[j] = d
                 else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+                    d = dist[j]
+                if d < lowest or (d == lowest and row4col[j] < 0):
+                    lowest = d
+                    best = idx
+            min_val = lowest
+            j = remaining[best]
+            remaining[best] = remaining[-1]
+            remaining.pop()
+            cols_seen.append(j)
+            i = row4col[j]
+            if i < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    col_of_row = [0] * n
-    for j in range(1, n + 1):
-        if p[j]:
-            col_of_row[p[j] - 1] = j - 1
-    return col_of_row
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - dist[col4row[i]]
+        for k in cols_seen:
+            v[k] -= min_val - dist[k]
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def opt_matching(
@@ -267,36 +288,39 @@ def opt_matching(
     if t == 0 or q == 0:
         return Allocation(frozenset(ag), frozenset(it), {}, {}, 0.0)
 
-    w_rows = []
-    for i in ag:
-        row = []
-        for j in it:
-            w = weights[i][j]
-            if not (0 <= w < float("inf")):
-                raise ValidationError(f"weight for agent {i}, item {j} must be finite nonnegative")
-            row.append(w)
-        w_rows.append(row)
+    # Cell r * q + b holds agent ag[r]'s weight for item it[b].
+    flat = [weights[i][j] for i in ag for j in it]
+    inf = math.inf
+    bad = [c for c, w in enumerate(flat) if not (0 <= w < inf)]
+    if bad:
+        r, b = divmod(bad[0], q)
+        raise ValidationError(f"weight for agent {ag[r]}, item {it[b]} must be finite nonnegative")
 
-    ints, _ = integerize([w for row in w_rows for w in row])
+    ints, _ = integerize(flat)
     base = t + 2
     big_k = base ** q
     powers = [base ** (q - 1 - b) for b in range(q)]
 
-    size = t + q
-    gains = [[0] * size for _ in range(size)]
-    for r in range(t):
-        for b in range(q):
-            gains[r][b] = ints[r * q + b] * big_k - (r + 1) * powers[b]
-
-    cols = _min_cost_assignment([[-g for g in row] for row in gains])
+    # Cost of a pair is minus its gain welfare * K - lex_code.  A pair of
+    # weight 0 has a negative gain, so leaving both sides unmatched is
+    # better: its cost is clamped to 0, and every other pair's gain is
+    # positive.  The gains' maximizer is unique, so the positive pairs of
+    # an optimal assignment on the t x q matrix are exactly the optimum.
+    cost = [
+        [rank * p - x * big_k if x else 0 for x, p in zip(ints[(rank - 1) * q : rank * q], powers)]
+        for rank in range(1, t + 1)
+    ]
+    if t <= q:
+        pairs = enumerate(_min_cost_assignment(cost))
+    else:
+        pairs = sorted((r, b) for b, r in enumerate(_min_cost_assignment(list(zip(*cost)))))
 
     bundles: dict[int, frozenset] = {}
     per_agent: dict[int, object] = {}
-    for r in range(t):
-        b = cols[r]
-        if b < q and gains[r][b] > 0:
+    for r, b in pairs:
+        if ints[r * q + b]:
             bundles[ag[r]] = frozenset({it[b]})
-            per_agent[ag[r]] = w_rows[r][b]
+            per_agent[ag[r]] = flat[r * q + b]
     value = sum(per_agent[i] for i in sorted(per_agent)) if per_agent else 0.0
     return Allocation(frozenset(ag), frozenset(it), bundles, per_agent, value)
 

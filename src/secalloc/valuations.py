@@ -50,6 +50,18 @@ def _check_nonneg(x, what: str):
         raise ValidationError(f"{what} must be finite and nonnegative, got {x!r}")
 
 
+def _unchecked(cls, **fields):
+    """A frozen ``cls`` holding fields derived from already validated ones.
+
+    Masked or Fraction-lifted values equal values that passed
+    :func:`_check_nonneg`, so they are not checked again.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class SignalProfile:
     """The vector of agent signals; entry i is agent i's signal.
@@ -81,12 +93,8 @@ def mask_signals(profile: SignalProfile, agents: Iterable[int]) -> SignalProfile
     if bad:
         raise ValidationError(f"agent ids {sorted(bad)} out of range for n={n}")
     zero = 0 * profile.values[0] if n else 0
-    # Kept values were validated with ``profile`` and zero is nonnegative,
-    # so the masked profile is built without checking them again.
     vals = tuple(v if i in keep else zero for i, v in enumerate(profile.values))
-    masked = object.__new__(SignalProfile)
-    object.__setattr__(masked, "values", vals)
-    return masked
+    return _unchecked(SignalProfile, values=vals)
 
 
 @dataclass(frozen=True)
@@ -123,10 +131,11 @@ class SignalWeight:
         """Lift all parameters to Fractions (float mixing would demote them)."""
         from fractions import Fraction
 
-        return SignalWeight(
-            (Fraction(c) for c in self.coeffs),
-            Fraction(self.const),
-            None if self.cap is None else Fraction(self.cap),
+        return _unchecked(
+            SignalWeight,
+            coeffs=tuple(map(Fraction, self.coeffs)),
+            const=Fraction(self.const),
+            cap=None if self.cap is None else Fraction(self.cap),
         )
 
 
@@ -423,6 +432,6 @@ class Instance:
 
         return Instance(
             (spec.exact() for spec in self.specs),
-            SignalProfile(Fraction(v) for v in self.signals.values),
+            _unchecked(SignalProfile, values=tuple(map(Fraction, self.signals.values))),
             family=self.family,
         )

@@ -1,8 +1,9 @@
 """From-scratch reference implementations used as independent oracles.
 
 These deliberately re-derive everything from the definitions by literal
-enumeration, sharing no code with the library paths they check.  The
-tie-break notion matches the library contract: among exact-rational
+enumeration, sharing no code with the library paths they check, or keep
+the slower algorithm a fast path replaced (such as the padded square
+Hungarian behind ``ref_opt_matching_padded``).  The tie-break notion matches the library contract: among exact-rational
 welfare maximizers, the lexicographically smallest assignment vector
 (items in ascending order, "unassigned" before agent ids ascending).
 """
@@ -15,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from secalloc.errors import ValidationError
+from secalloc.offline import Allocation
 from secalloc.valuations import SignalProfile, eval_valuation, mask_signals
 
 
@@ -114,6 +117,108 @@ def ref_matching_brute(agents, weights, items):
     per_agent = {a: weights[a][next(iter(b))] for a, b in bundles.items()}
     value = sum(per_agent[a] for a in sorted(per_agent)) if per_agent else 0.0
     return bundles, per_agent, value
+
+
+def _ref_min_cost_assignment_square(cost):
+    """Exact square assignment (Hungarian with potentials), O(N^3).
+
+    Works on arbitrary exact integers; returns the column of each row.
+    """
+    n = len(cost)
+    inf = float("inf")
+    u = [0] * (n + 1)
+    v = [0] * (n + 1)
+    p = [0] * (n + 1)
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = [inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            delta = inf
+            j1 = 0
+            row = cost[i0 - 1]
+            ui = u[i0]
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - ui - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[p[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            p[j0] = p[j1]
+            j0 = j1
+    col_of_row = [0] * n
+    for j in range(1, n + 1):
+        if p[j]:
+            col_of_row[p[j] - 1] = j - 1
+    return col_of_row
+
+
+def ref_opt_matching_padded(agents, weights, items):
+    """Max-weight matching on the (t+q) x (t+q) square padded with zeros.
+
+    t agents and q items are padded so that every agent may stay
+    unmatched (a dummy item) and every item unsold (a dummy agent); the
+    square Hungarian then solves the lex-perturbed gains exactly.  Weights
+    are scaled with :func:`ref_integerize`, which equals the library's
+    integerization.
+    """
+    ag = sorted(set(agents))
+    it = sorted(set(items))
+    t, q = len(ag), len(it)
+    if t == 0 or q == 0:
+        return Allocation(frozenset(ag), frozenset(it), {}, {}, 0.0)
+
+    w_rows = []
+    for i in ag:
+        row = []
+        for j in it:
+            w = weights[i][j]
+            if not (0 <= w < float("inf")):
+                raise ValidationError(f"weight for agent {i}, item {j} must be finite nonnegative")
+            row.append(w)
+        w_rows.append(row)
+
+    ints, _ = ref_integerize([w for row in w_rows for w in row])
+    base = t + 2
+    big_k = base ** q
+    powers = [base ** (q - 1 - b) for b in range(q)]
+
+    size = t + q
+    gains = [[0] * size for _ in range(size)]
+    for r in range(t):
+        for b in range(q):
+            gains[r][b] = ints[r * q + b] * big_k - (r + 1) * powers[b]
+
+    cols = _ref_min_cost_assignment_square([[-g for g in row] for row in gains])
+
+    bundles = {}
+    per_agent = {}
+    for r in range(t):
+        b = cols[r]
+        if b < q and gains[r][b] > 0:
+            bundles[ag[r]] = frozenset({it[b]})
+            per_agent[ag[r]] = w_rows[r][b]
+    value = sum(per_agent[i] for i in sorted(per_agent)) if per_agent else 0.0
+    return Allocation(frozenset(ag), frozenset(it), bundles, per_agent, value)
 
 
 def ref_run_sample_then_greedy(inst, order, k):

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reference_impls import WeightOracle, ref_integerize, ref_matching_brute, ref_opt_brute
+from reference_impls import (
+    WeightOracle,
+    ref_integerize,
+    ref_matching_brute,
+    ref_opt_brute,
+    ref_opt_matching_padded,
+)
 
 from secalloc import (
     Allocation,
@@ -99,23 +105,98 @@ def test_opt_general_matches_brute_force(gridded):
 
 
 def test_min_cost_assignment_handles_mixed_sign_costs():
-    """Pin the internal Hungarian against permutation brute force."""
+    """Pin the internal Hungarian against brute force over injective maps."""
     import itertools
 
     from secalloc.offline import _min_cost_assignment
 
     rng = np.random.default_rng(77)
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        cost = [[int(c) for c in row] for row in rng.integers(-10, 11, (n, n))]
-        cols = _min_cost_assignment(cost)
-        assert sorted(cols) == list(range(n))
-        total = sum(cost[r][cols[r]] for r in range(n))
+    for _ in range(300):
+        rows = int(rng.integers(1, 6))
+        cols = int(rng.integers(rows, 8))
+        cost = [[int(c) for c in row] for row in rng.integers(-10, 11, (rows, cols))]
+        picked = _min_cost_assignment(cost)
+        assert len(picked) == rows and len(set(picked)) == rows
+        assert all(0 <= c < cols for c in picked)
+        total = sum(cost[r][picked[r]] for r in range(rows))
         best = min(
-            sum(cost[r][perm[r]] for r in range(n))
-            for perm in itertools.permutations(range(n))
+            sum(cost[r][perm[r]] for r in range(rows))
+            for perm in itertools.permutations(range(cols), rows)
         )
         assert total == best
+    assert _min_cost_assignment([]) == []
+
+
+@pytest.mark.parametrize("cost", [
+    [[1], [2]],  # more rows than columns
+    [[0, 1, 2], [3, 4]],  # ragged rows
+    [[], [1]],
+])
+def test_min_cost_assignment_rejects_tall_and_ragged_costs(cost):
+    from secalloc.offline import _min_cost_assignment
+
+    with pytest.raises(ValidationError):
+        _min_cost_assignment(cost)
+
+
+WEIGHT_KINDS = {
+    "uniform": st.floats(0, 1),
+    "grid": st.integers(0, 4).map(lambda k: k * 0.25),
+    "zero_heavy": st.sampled_from([0.0, 0.0, 0.0, 0.0, 0.25, 0.5, 1.0]),
+    "fraction": st.fractions(min_value=0, max_value=4, max_denominator=6),
+    "extreme": st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300]),
+}
+
+
+def _padded_reference_case(agents, items, weights):
+    alloc = opt_matching(agents, weights, items)
+    assert repr(alloc) == repr(ref_opt_matching_padded(agents, weights, items))
+
+
+@pytest.mark.parametrize("agents, items, weights", [
+    # Item 0 is worth nothing and item 1 ties across three agents: the lex
+    # tie-break must give item 1 to agent 0 whatever an unmatched item costs.
+    ([0, 1, 2], [0, 1], {a: [0.0, 1.0] for a in range(3)}),
+    ([0, 1], [0, 1, 2], {0: [0.0, 0.0, 1.0], 1: [0.0, 0.0, 1.0]}),
+    ([4, 7, 9], [2, 5], {4: [0, 0, 0.5, 0, 0, 0.0], 7: [0, 0, 0.0, 0, 0, 0.5],
+                         9: [0, 0, 0.5, 0, 0, 0.5]}),
+])
+def test_matching_ties_equal_padded_reference(agents, items, weights):
+    _padded_reference_case(agents, items, weights)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(t=st.integers(0, 9), q=st.integers(0, 9), kind=st.sampled_from(sorted(WEIGHT_KINDS)),
+       data=st.data())
+def test_matching_equals_padded_reference(t, q, kind, data):
+    """The t x q solver equals the (t+q)^2 padded Hungarian, repr for repr."""
+    agents = data.draw(st.lists(st.integers(0, 15), min_size=t, max_size=t, unique=True))
+    items = data.draw(st.lists(st.integers(0, 12), min_size=q, max_size=q, unique=True))
+    cell = WEIGHT_KINDS[kind]
+    weights = {}
+    for a in agents:
+        if data.draw(st.booleans()):
+            weights[a] = data.draw(st.lists(cell, min_size=13, max_size=13))
+        else:  # a zero row but for at most one cell
+            row = [0.0] * 13
+            row[data.draw(st.integers(0, 12))] = data.draw(cell)
+            weights[a] = row
+    _padded_reference_case(agents, items, weights)
+
+
+def test_matching_equals_scipy_at_200_by_100():
+    """Continuous weights (ties have probability 0) against scipy's solver."""
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(2016)
+    w = rng.uniform(0, 1, (200, 100))
+    weights = {a: [float(x) for x in w[a]] for a in range(200)}
+    alloc = opt_matching(range(200), weights, range(100))
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    assert dict(alloc.bundles) == {int(r): frozenset({int(c)}) for r, c in zip(rows, cols)}
+    expected = float(w[rows, cols].sum())
+    assert abs(alloc.value - expected) <= 1e-9 * expected
 
 
 def test_matching_diagonal_identity():
@@ -143,6 +224,10 @@ def test_matching_rejects_bad_weights():
         opt_matching([0], {0: [float("nan")]}, [0])
     with pytest.raises(ValidationError):
         opt_matching([0], {0: [float("inf")]}, [0])
+    # The message names the first bad cell, agents and items ascending.
+    weights = {3: [0.0, 1.0, 2.0], 7: [0.5, -1.0, float("nan")]}
+    with pytest.raises(ValidationError, match="agent 7, item 1 "):
+        opt_matching([7, 3], weights, [2, 1, 0])
 
 
 @pytest.mark.parametrize("gridded", [True, False])

@@ -17,7 +17,7 @@ from secalloc import (
     eval_valuation,
     mask_signals,
 )
-from secalloc.harness import GeneratorParams, generate_instance
+from secalloc.harness import FAMILIES, GeneratorParams, generate_instance
 
 from reference_impls import ref_mask_signals
 
@@ -90,6 +90,61 @@ def test_infinite_inputs_are_rejected_at_the_boundary():
     huge = Fraction(10) ** 400
     assert SignalWeight([huge], const=huge, cap=huge)([huge]) == huge
     assert SignalProfile([huge]).values == (huge,)
+
+
+def _lifted_by_constructors(inst):
+    """``inst.exact()`` rebuilt through the validating constructors."""
+
+    def lift(w):
+        cap = None if w.cap is None else Fraction(w.cap)
+        return SignalWeight([Fraction(c) for c in w.coeffs], Fraction(w.const), cap)
+
+    specs = []
+    for spec in inst.specs:
+        if isinstance(spec, XOSValuation):
+            specs.append(XOSValuation(
+                ({j: lift(w) for j, w in clause} for clause in spec.clauses), spec.num_items))
+        elif isinstance(spec, SeparableValuation):
+            specs.append(SeparableValuation(
+                spec.agent, map(lift, spec.own), map(lift, spec.others)))
+        else:
+            specs.append(UnitDemandValuation(map(lift, spec.weights)))
+    signals = SignalProfile(Fraction(v) for v in inst.signals.values)
+    return Instance(specs, signals, family=inst.family)
+
+
+def _value_types(inst):
+    weights = []
+    for spec in inst.specs:
+        if isinstance(spec, XOSValuation):
+            weights += [w for clause in spec.clauses for _, w in clause]
+        elif isinstance(spec, SeparableValuation):
+            weights += [*spec.own, *spec.others]
+        else:
+            weights += list(spec.weights)
+    params = [p for w in weights for p in (*w.coeffs, w.const, w.cap)]
+    return [type(v) for v in (*params, *inst.signals.values)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_exact_equals_validating_constructor_route(family):
+    for seed in range(3):
+        inst = generate_instance(GeneratorParams(5, 3, family), seed=seed)
+        lifted, ref = inst.exact(), _lifted_by_constructors(inst)
+        assert lifted == ref
+        assert _value_types(lifted) == _value_types(ref)
+        assert Fraction in _value_types(lifted) and float not in _value_types(lifted)
+        assert lifted.exact() == lifted  # lifting Fractions is the identity
+
+
+def test_signal_weight_still_validates_fractions_and_non_finite_values():
+    for bad in (Fraction(-1), float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError):
+            SignalWeight([bad])
+        with pytest.raises(ValidationError):
+            SignalWeight([Fraction(1)], const=bad)
+        with pytest.raises(ValidationError):
+            SignalProfile([Fraction(1), bad])
 
 
 def test_single_clause_xos_is_additive():
