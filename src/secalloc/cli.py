@@ -25,7 +25,7 @@ from .harness import (
     generate_instance,
 )
 from .instance_io import load_instance, save_instance
-from .mechanism import check_epic, check_random_sampling_bound
+from .mechanism import _require_separable, check_epic, check_random_sampling_bound
 from .secretary import (
     ArrivalOrder,
     InstanceRuntime,
@@ -117,8 +117,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_audit(args) -> int:
     inst = load_instance(args.instance)
-    if not all(isinstance(s, SeparableValuation) for s in inst.specs):
-        raise ValidationError("audit needs a separable unit-demand instance")
+    _require_separable(inst)
     k_skip = inst.n // 2 + sample_size(inst.n, "n/2e")
     worst = 0.0
     for trial in range(args.orders):

@@ -17,7 +17,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from ._util import trial_rng
+from ._util import mask_of, trial_rng
 from .errors import CapabilityError, ValidationError
 from .mechanism import _require_separable, run_mechanism
 from .offline import opt_dispatch
@@ -37,6 +37,7 @@ from .valuations import (
     SignalWeight,
     UnitDemandValuation,
     XOSValuation,
+    _UnitDemand,
 )
 
 __all__ = [
@@ -187,16 +188,6 @@ class RatioStats:
         }
 
 
-def _unit_demand_weights(inst: Instance):
-    if not all(hasattr(spec, "item_weight") for spec in inst.specs):
-        return None
-    sigs = inst.signals.values
-    return {
-        i: tuple(inst.specs[i].item_weight(j, sigs) for j in range(inst.m))
-        for i in range(inst.n)
-    }
-
-
 def _make_order_source(inst: Instance, config: ExperimentConfig):
     if config.mode == "exact_orders":
         if inst.n > 7:
@@ -213,16 +204,17 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
     is the average over all n! permutations (and stays a Fraction when
     the instance's signals are Fractions).
     """
-    ud_weights = _unit_demand_weights(inst)
-    if config.alg == "rei19" and ud_weights is None:
-        raise ValidationError("rei19 needs unit-demand (or separable) valuations")
+    unit_demand = all(isinstance(spec, _UnitDemand) for spec in inst.specs)
+    match = config.blackbox == "match" or (config.blackbox == "auto" and unit_demand)
+    if not unit_demand and (config.alg == "rei19" or config.alg == "framework" and match):
+        user = "rei19" if config.alg == "rei19" else "the match blackbox"
+        raise ValidationError(f"{user} needs unit-demand (or separable) valuations")
     if config.alg == "mechanism":
         _require_separable(inst)
 
     runtime = InstanceRuntime(inst)
-    full = (1 << inst.n) - 1
     opt_true = opt_dispatch(
-        inst, range(inst.n), lambda i: inst.signals, table=lambda i: runtime.table(i, full)
+        inst, range(inst.n), lambda i: inst.signals, table=runtime.true_table
     ).value
 
     def welfare(order: ArrivalOrder):
@@ -234,24 +226,14 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
             return run_sample_then_greedy(inst, order, k, runtime=runtime).welfare
         if config.alg == "rei19":
             k = config.k if config.k is not None else sample_size(inst.n, "n/e")
-            res = run_sample_then_match(ud_weights, inst.m, order, k, cache=runtime.matchings)
+            weights = {i: runtime.true_weights(i) for i in range(inst.n)}
+            res = run_sample_then_match(weights, inst.m, order, k, cache=runtime.matchings)
             return res.welfare
         if config.alg == "framework":
-            style = config.blackbox
-            if style == "auto":
-                style = "match" if ud_weights is not None else "greedy"
-            if style == "match":
-                blackbox = make_sample_then_match_blackbox(config.k)
-            else:
-                blackbox = make_sample_then_greedy_blackbox(config.k)
-            return run_proxy_framework(inst, order, blackbox, runtime=runtime).welfare
-        # Mechanism bundles are single items, worth their true item weight.
+            make = make_sample_then_match_blackbox if match else make_sample_then_greedy_blackbox
+            return run_proxy_framework(inst, order, make(config.k), runtime=runtime).welfare
         outcome = run_mechanism(inst, order, solver_cache=runtime.matchings)
-        total = 0
-        for i in sorted(outcome.bundles):
-            (j,) = outcome.bundles[i]
-            total += ud_weights[i][j]
-        return total
+        return runtime.true_welfare({i: mask_of(b) for i, b in outcome.bundles.items()})
 
     orders = _make_order_source(inst, config)
     if orders is None:

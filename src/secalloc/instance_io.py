@@ -15,7 +15,6 @@ schema ships in docs/instance_schema.json.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Union
 
@@ -23,31 +22,34 @@ from .errors import ValidationError
 from .valuations import (
     Instance,
     SeparableValuation,
+    SignalProfile,
     SignalWeight,
     UnitDemandValuation,
     XOSValuation,
+    _check_nonneg,
+    _unchecked,
 )
 
 __all__ = ["load_instance", "save_instance", "instance_to_json", "instance_from_json"]
 
 
-def _check_finite(x, what: str) -> float:
+def _number(x, what: str) -> float:
+    """The one check of a loaded number: its type, then finite and nonnegative."""
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         raise ValidationError(f"{what} must be a number, got {x!r}")
-    if math.isnan(x) or math.isinf(x):
-        raise ValidationError(f"{what} must be finite, got {x!r}")
+    _check_nonneg(x, what)
     return float(x)
 
 
 def _weight_from_json(doc: dict, what: str) -> SignalWeight:
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise ValidationError(f"{what} must be an object with a 'coeffs' list")
-    coeffs = [_check_finite(c, f"{what}.coeffs[{k}]") for k, c in enumerate(doc["coeffs"])]
-    const = _check_finite(doc.get("const", 0.0), f"{what}.const")
+    coeffs = tuple(_number(c, f"{what}.coeffs[{k}]") for k, c in enumerate(doc["coeffs"]))
+    const = _number(doc.get("const", 0.0), f"{what}.const")
     cap = doc.get("cap")
     if cap is not None:
-        cap = _check_finite(cap, f"{what}.cap")
-    return SignalWeight(coeffs, const, cap)
+        cap = _number(cap, f"{what}.cap")
+    return _unchecked(SignalWeight, coeffs=coeffs, const=const, cap=cap)
 
 
 def _weight_to_json(w: SignalWeight) -> dict:
@@ -62,7 +64,7 @@ def instance_from_json(doc: dict) -> Instance:
         if key not in doc:
             raise ValidationError(f"instance document is missing '{key}'")
     n, m = doc["n"], doc["m"]
-    signals = [_check_finite(s, f"signals[{i}]") for i, s in enumerate(doc["signals"])]
+    signals = tuple(_number(s, f"signals[{i}]") for i, s in enumerate(doc["signals"]))
     if len(signals) != n:
         raise ValidationError(f"{len(signals)} signals for n={n}")
     if len(doc["agents"]) != n:
@@ -99,7 +101,7 @@ def instance_from_json(doc: dict) -> Instance:
             specs.append(SeparableValuation(i, own, others))
         else:
             raise ValidationError(f"{where}: unknown type {kind!r}")
-    return Instance(specs, signals, family=doc.get("family"))
+    return Instance(specs, _unchecked(SignalProfile, values=signals), family=doc.get("family"))
 
 
 def instance_to_json(inst: Instance) -> dict:

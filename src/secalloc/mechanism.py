@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 from ._util import bits_of, mask_of, set_of, trial_rng
 from .errors import CapabilityError, ValidationError
 from .offline import opt_dispatch
-from .secretary import _arrive, _check_order, _memo_matching
+from .secretary import _arrive, _check_order, _memo_matching, sample_size
 from .valuations import (
     Instance,
     SeparableValuation,
@@ -126,18 +126,17 @@ def run_mechanism(
 
     memo = solver_cache if solver_cache is not None else {}
     k1 = n // 2
-    k2 = int(n / (2 * math.e))
+    k2 = sample_size(n, "n/2e")
     sample = order.agents[:k1]
     sample_set = frozenset(sample)
     sample_mask = mask_of(sample)
     all_agents = frozenset(range(n))
 
     # Proxy weight vectors: own report plus the first sample's reports.
-    w_vec: dict[int, tuple] = {}
-    for agent in order.agents[k1:]:
-        masked = mask_signals(reports, sample_set | {agent})
-        spec = inst.specs[agent]
-        w_vec[agent] = tuple(spec.item_weight(j, masked.values) for j in range(inst.m))
+    w_vec = {
+        agent: inst.specs[agent].item_weights(mask_signals(reports, sample_set | {agent}))
+        for agent in order.agents[k1:]
+    }
 
     sample_reports = mask_signals(reports, sample_set).values
     # MechStep fields (opt_prev, opt_minus, g_full, g_sample, price) per priced agent.

@@ -33,13 +33,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from ._util import integerize, set_of, submasks
 from .errors import CapabilityError, ValidationError
-from .valuations import (
-    Instance,
-    SeparableValuation,
-    SignalProfile,
-    UnitDemandValuation,
-    bundle_value_table,
-)
+from .valuations import Instance, _UnitDemand, bundle_value_table
 
 __all__ = ["Allocation", "opt_dispatch", "opt_general", "opt_matching"]
 
@@ -343,14 +337,8 @@ def opt_dispatch(
     """
     ag = sorted(set(agents))
     items = range(inst.m)
-    if all(isinstance(inst.specs[i], (UnitDemandValuation, SeparableValuation)) for i in ag):
-        weights = {}
-        for i in ag:
-            sigs = signals(i)
-            if isinstance(sigs, SignalProfile):
-                sigs = sigs.values
-            weights[i] = [inst.specs[i].item_weight(j, sigs) for j in items]
-        return opt_matching(ag, weights, items)
+    if all(isinstance(inst.specs[i], _UnitDemand) for i in ag):
+        return opt_matching(ag, {i: inst.specs[i].item_weights(signals(i)) for i in ag}, items)
     tables = [table(i) if table else bundle_value_table(inst.specs[i], signals(i)) for i in ag]
     return solve_from_tables(ag, tables, items)
 

@@ -27,11 +27,11 @@ only in their policy:
   with frozen proxy valuations.
 
 A blackbox for the framework is called as ``blackbox(arrivals,
-num_items)``.  ``arrivals`` lists ``(agent, table)`` pairs in arrival
-order, where ``table[mask]`` is the agent's proxy value of the bundle
-whose item bitmask is ``mask`` (read-only; 2^num_items entries).  It
-returns ``{agent: frozenset of items}``.  The survival probabilities and
-the truthful mechanism (:mod:`secalloc.mechanism`) run on the same engine.
+num_items)``.  ``arrivals`` lists ``(agent, spec, signals)`` in arrival
+order: the agent's valuation and her frozen proxy profile (the sample's
+signals and her own, all others zero).  It returns ``{agent: frozenset of
+items}``.  The survival probabilities and the truthful mechanism
+(:mod:`secalloc.mechanism`) run on the same engine.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 from ._util import bits_of, mask_of, set_of, trial_rng
 from .errors import CapabilityError, ValidationError
 from .offline import opt_matching, solve_from_tables
-from .valuations import Instance, bundle_value_table, mask_signals
+from .valuations import Instance, _UnitDemand, bundle_value_table, mask_signals
 
 __all__ = [
     "ArrivalOrder",
@@ -210,27 +210,31 @@ class InstanceRuntime:
     """Per-instance caches shared across many runs (orders) of one instance.
 
     Step optima depend only on the *set* of arrived agents, so they are
-    memoized by agent bitmask.  Tables are built on first use, so paths
-    that never read one (matching, the mechanism) do no 2^m work; all are
-    exact in the numeric domain of the instance's signals.  ``matchings``
-    is the :func:`_memo_matching` memo of the instance's rei19 and
-    mechanism runs.
+    memoized by agent bitmask.  Per agent, only true-signal valuations
+    are cached, on first use: ``true_table`` (2^m entries; also the step
+    optimum's table once every agent has arrived) and, for
+    unit-demand agents, ``true_weights``, so matching paths do no 2^m
+    work.  All are exact in the numeric domain of the instance's
+    signals.  ``matchings`` is the :func:`_memo_matching` memo of the
+    instance's rei19 and mechanism runs.
     """
 
     def __init__(self, inst: Instance):
         self.inst = inst
-        self._tables: dict = {}
+        self._true_tables: dict = {}
+        self._true_weights: dict = {}
         self._step_opt: dict = {}
         self.matchings: dict = {}
 
-    def table(self, agent: int, amask: int):
-        key = (agent, amask)
-        tab = self._tables.get(key)
-        if tab is None:
-            masked = mask_signals(self.inst.signals, set_of(amask))
-            tab = bundle_value_table(self.inst.specs[agent], masked)
-            self._tables[key] = tab
-        return tab
+    def true_table(self, agent: int) -> list:
+        if agent not in self._true_tables:
+            self._true_tables[agent] = bundle_value_table(self.inst.specs[agent], self.inst.signals)
+        return self._true_tables[agent]
+
+    def true_weights(self, agent: int) -> tuple:
+        if agent not in self._true_weights:
+            self._true_weights[agent] = self.inst.specs[agent].item_weights(self.inst.signals)
+        return self._true_weights[agent]
 
     def step_opt(self, amask: int):
         """Optimal allocation of all items to the arrived agents.
@@ -241,7 +245,12 @@ class InstanceRuntime:
         hit = self._step_opt.get(amask)
         if hit is None:
             agents = bits_of(amask)
-            tables = [self.table(i, amask) for i in agents]
+            if amask == (1 << self.inst.n) - 1:
+                # Nothing is masked: these are the true tables.
+                tables = [self.true_table(i) for i in agents]
+            else:
+                masked = mask_signals(self.inst.signals, agents)
+                tables = [bundle_value_table(self.inst.specs[i], masked) for i in agents]
             alloc = solve_from_tables(agents, tables, range(self.inst.m))
             masks = {i: mask_of(b) for i, b in alloc.bundles.items()}
             hit = (alloc, masks)
@@ -253,10 +262,18 @@ class InstanceRuntime:
         return self.step_opt(amask)[1].get(agent, 0) & avail
 
     def true_welfare(self, bundle_masks: Mapping[int, int]):
-        full = (1 << self.inst.n) - 1
+        """Sum of true values, in agent order, of each agent's bundle bitmask."""
         total = 0
         for i in sorted(bundle_masks):
-            total += self.table(i, full)[bundle_masks[i]]
+            bm = bundle_masks[i]
+            if isinstance(self.inst.specs[i], _UnitDemand):
+                # The bundle table's entry: its first best item from the top,
+                # or 0 when no item is worth anything.
+                ws = self.true_weights(i)
+                best = max(ws[j] for j in reversed(bits_of(bm)))
+                total += best if best > 0 else 0
+            else:
+                total += self.true_table(i)[bm]
         return total
 
 
@@ -301,7 +318,7 @@ def run_sample_then_match(
     if n == 0:
         raise ValidationError("empty arrival order")
     if k is None:
-        k = int(n / math.e)
+        k = sample_size(n, "n/e")
     if not (0 <= k < n):
         raise ValidationError(f"sample size k={k} must satisfy 0 <= k < n={n}")
     memo = cache if cache is not None else {}
@@ -325,15 +342,15 @@ def make_sample_then_greedy_blackbox(k: Optional[int] = None) -> Blackbox:
     """Classical sample-then-greedy over all items, on frozen bundle tables."""
 
     def run(arrivals, num_items):
-        tables = dict(arrivals)
+        tables = {agent: bundle_value_table(spec, sigs) for agent, spec, sigs in arrivals}
 
         def greedy_step(agent: int, amask: int, avail: int) -> int:
             agents = bits_of(amask)
             alloc = solve_from_tables(agents, [tables[a] for a in agents], range(num_items))
             return mask_of(alloc.bundle_of(agent)) & avail
 
-        kk = int(len(arrivals) / math.e) if k is None else k
-        order = [agent for agent, _ in arrivals]
+        kk = sample_size(len(arrivals), "n/e") if k is None else k
+        order = [agent for agent, *_ in arrivals]
         steps = _arrive(order, num_items, kk, greedy_step)
         return {agent: set_of(taken) for _, agent, _, taken in steps if taken}
 
@@ -341,11 +358,17 @@ def make_sample_then_greedy_blackbox(k: Optional[int] = None) -> Blackbox:
 
 
 def make_sample_then_match_blackbox(k: Optional[int] = None) -> Blackbox:
-    """Classical secretary matching; the tables must be unit-demand."""
+    """Classical secretary matching on frozen item weights; agents must be unit-demand."""
 
     def run(arrivals, num_items):
-        weights = {agent: [tab[1 << j] for j in range(num_items)] for agent, tab in arrivals}
-        order = ArrivalOrder(agent for agent, _ in arrivals)
+        weights = {}
+        for agent, spec, sigs in arrivals:
+            if not isinstance(spec, _UnitDemand):
+                raise ValidationError(
+                    f"the match blackbox needs unit-demand agents; agent {agent} is not"
+                )
+            weights[agent] = spec.item_weights(sigs)
+        order = ArrivalOrder(agent for agent, *_ in arrivals)
         return dict(run_sample_then_match(weights, num_items, order, k).bundles)
 
     return run
@@ -371,10 +394,11 @@ def run_proxy_framework(
         raise ValidationError("the proxy framework needs at least 2 agents")
     rt = runtime if runtime is not None else InstanceRuntime(inst)
     k1 = inst.n // 2
-    sample_mask = mask_of(order.agents[:k1])
-
+    sample = order.agents[:k1]
     residual = order.agents[k1:]
-    raw = blackbox([(a, rt.table(a, sample_mask | 1 << a)) for a in residual], inst.m)
+    raw = blackbox(
+        [(a, inst.specs[a], mask_signals(inst.signals, sample + (a,))) for a in residual], inst.m
+    )
 
     given: dict[int, int] = {}
     for agent, bundle in raw.items():

@@ -26,8 +26,7 @@ from .valuations import (
     SpecLike,
     ValuationSpec,
     XOSValuation,
-    UnitDemandValuation,
-    SeparableValuation,
+    _UnitDemand,
     eval_valuation,
     mask_signals,
 )
@@ -288,11 +287,12 @@ def check_xos_over_items(
             if tot >= best:
                 best, support = tot, weights
         return CheckResult(True, {"support": support})
-    if isinstance(spec, (UnitDemandValuation, SeparableValuation)):
+    if isinstance(spec, _UnitDemand):
         if not items:
             return CheckResult(True, {"support": {}})
-        j_best = max(items, key=lambda j: spec.item_weight(j, s.values))
-        return CheckResult(True, {"support": {j_best: spec.item_weight(j_best, s.values)}})
+        weights = spec.item_weights(s)
+        j_best = max(items, key=weights.__getitem__)
+        return CheckResult(True, {"support": {j_best: weights[j_best]}})
 
     # Oracle-given set function: solve the support LP.
     q = len(items)

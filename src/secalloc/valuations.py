@@ -51,10 +51,11 @@ def _check_nonneg(x, what: str):
 
 
 def _unchecked(cls, **fields):
-    """A frozen ``cls`` holding fields derived from already validated ones.
+    """A frozen ``cls`` holding fields that are already validated.
 
     Masked or Fraction-lifted values equal values that passed
-    :func:`_check_nonneg`, so they are not checked again.
+    :func:`_check_nonneg`, and the instance loader runs that check once
+    on every number it reads, so none is checked again.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -226,8 +227,26 @@ class XOSValuation(ValuationSpec):
         )
 
 
+class _UnitDemand(ValuationSpec):
+    """Unit-demand families: a bundle is worth its best item, so every
+    matching path reads such an agent only through :meth:`item_weights`."""
+
+    def item_weights(self, signals) -> tuple:
+        """Every item's weight at one signal profile, in item order."""
+        if isinstance(signals, SignalProfile):
+            signals = signals.values
+        return tuple(self.item_weight(j, signals) for j in range(self.num_items))
+
+    def value(self, bundle, signals):
+        b = self._validate_bundle(bundle)
+        self._validate_signals(signals)
+        if not b:
+            return 0
+        return max(self.item_weight(j, signals) for j in b)
+
+
 @dataclass(frozen=True)
-class UnitDemandValuation(ValuationSpec):
+class UnitDemandValuation(_UnitDemand):
     """Value of a bundle is the best single item's weight."""
 
     weights: tuple
@@ -247,13 +266,6 @@ class UnitDemandValuation(ValuationSpec):
     def num_items(self) -> int:
         return len(self.weights)
 
-    def value(self, bundle, signals):
-        b = self._validate_bundle(bundle)
-        self._validate_signals(signals)
-        if not b:
-            return 0
-        return max(self.weights[j](signals) for j in b)
-
     def item_weight(self, j: int, signals):
         return self.weights[j](signals)
 
@@ -262,7 +274,7 @@ class UnitDemandValuation(ValuationSpec):
 
 
 @dataclass(frozen=True)
-class SeparableValuation(ValuationSpec):
+class SeparableValuation(_UnitDemand):
     """Unit-demand valuation whose per-item weight splits by signal source.
 
     Item j is worth own[j](s) + others[j](s), where own[j] may only read
@@ -308,13 +320,6 @@ class SeparableValuation(ValuationSpec):
 
     def item_weight(self, j: int, signals):
         return self.own[j](signals) + self.others[j](signals)
-
-    def value(self, bundle, signals):
-        b = self._validate_bundle(bundle)
-        self._validate_signals(signals)
-        if not b:
-            return 0
-        return max(self.item_weight(j, signals) for j in b)
 
     def others_value(self, bundle: Iterable[int], signals):
         """Others'-signals part on a bundle of at most one item."""
@@ -390,9 +395,8 @@ def bundle_value_table(spec: SpecLike, signals: Sequence) -> list:
         for other in per_clause[1:]:
             tab = [a if a > b else b for a, b in zip(tab, other)]
         return tab
-    if isinstance(spec, (UnitDemandValuation, SeparableValuation)):
-        scalars = [spec.item_weight(j, signals) for j in range(spec.num_items)]
-        return _max_table(scalars)
+    if isinstance(spec, _UnitDemand):
+        return _max_table(spec.item_weights(signals))
     raise ValidationError(f"unsupported spec type {type(spec).__name__}")
 
 

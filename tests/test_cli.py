@@ -94,3 +94,7 @@ def test_audit_rejects_non_separable(tmp_path):
     out = run_cli("audit", "--instance", str(inst_path))
     assert out.returncode == 1
     assert "separable" in out.stderr
+    out = run_cli("run", "--instance", str(inst_path), "--alg", "framework",
+                  "--blackbox", "match", "--trials", "2")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "unit-demand" in out.stderr

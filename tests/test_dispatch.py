@@ -1,6 +1,7 @@
 """The OPT dispatcher: matching on unit-demand instances, DP elsewhere, budgets."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from reference_impls import WeightOracle
 
+import secalloc.offline
 import secalloc.secretary
+import secalloc.valuations
 from secalloc import (
     ArrivalOrder,
     CapabilityError,
@@ -25,10 +28,14 @@ from secalloc import (
     bundle_value_table,
     estimate_ratio,
     generate_instance,
+    make_sample_then_greedy_blackbox,
+    make_sample_then_match_blackbox,
     mask_signals,
     opt_dispatch,
     opt_general,
     run_mechanism,
+    run_proxy_framework,
+    run_sample_then_greedy,
     run_sample_then_match,
     sample_size,
     save_instance,
@@ -77,14 +84,24 @@ def test_subset_dp_budget_is_checked_and_passed_through():
 # --- the polynomial path ---------------------------------------------------
 
 @pytest.mark.parametrize("family, algs", [
-    ("unit_demand_const", ("rei19",)),
-    ("separable_capped", ("rei19", "mechanism")),
+    ("unit_demand_const", ("rei19", "framework")),
+    ("separable_capped", ("rei19", "mechanism", "framework")),
 ])
-def test_unit_demand_ratio_needs_no_bundle_tables(family, algs):
+def test_unit_demand_ratio_needs_no_bundle_tables(family, algs, monkeypatch):
+    built = []
+
+    def counting(spec, signals):
+        built.append(spec)
+        return bundle_value_table(spec, signals)
+
+    for module in (secalloc.valuations, secalloc.offline, secalloc.secretary):
+        monkeypatch.setattr(module, "bundle_value_table", counting)
     inst = generate_instance(GeneratorParams(6, 64, family), seed=1)
     for alg in algs:
-        stats = estimate_ratio(inst, ExperimentConfig(alg, trials=5, seed=2))
-        assert stats.trials == 5 and stats.opt_value > 0
+        for blackbox in ("auto", "match") if alg == "framework" else ("auto",):
+            stats = estimate_ratio(inst, ExperimentConfig(alg, trials=5, seed=2, blackbox=blackbox))
+            assert stats.trials == 5 and stats.opt_value > 0
+    assert built == []
 
 
 def test_runtime_builds_tables_only_on_use(monkeypatch):
@@ -102,6 +119,28 @@ def test_runtime_builds_tables_only_on_use(monkeypatch):
     assert built == [inst.specs[2]]
 
 
+def test_true_welfare_scores_unit_demand_bundles_as_their_table_entry():
+    # Multi-item bundles, ties (one of a float and a Fraction) and an
+    # all-zero agent: scored from item weights, each bundle must still
+    # read exactly as its bundle-table entry, int 0 when nothing is
+    # worth anything.
+    def const(c):
+        return SignalWeight([Fraction(0)] * 3, c)
+
+    specs = [
+        UnitDemandValuation([const(0.0)] * 3),
+        UnitDemandValuation([const(0.5), const(0.0), SignalWeight([0.0, 1.0, 0.0])]),
+        UnitDemandValuation([const(Fraction(1, 2)), const(0.5), const(0.25)]),
+    ]
+    inst = Instance(specs, [Fraction(1, 2)] * 3)
+    runtime = InstanceRuntime(inst)
+    for masks in ({0: 0b111}, {1: 0b101}, {2: 0b011}, {0: 0b001, 1: 0b110, 2: 0b100}):
+        want = 0
+        for i in sorted(masks):
+            want += bundle_value_table(inst.specs[i], inst.signals)[masks[i]]
+        assert repr(runtime.true_welfare(masks)) == repr(want)
+
+
 def test_algorithm_fit_is_checked_before_any_optimum():
     # m = 63 is far over the table budget, so reaching OPT would raise
     # CapabilityError instead.
@@ -110,6 +149,10 @@ def test_algorithm_fit_is_checked_before_any_optimum():
         estimate_ratio(inst, ExperimentConfig("rei19", trials=2))
     with pytest.raises(ValidationError, match="not separable unit-demand"):
         estimate_ratio(inst, ExperimentConfig("mechanism", trials=2))
+    with pytest.raises(ValidationError, match="match blackbox needs unit-demand"):
+        estimate_ratio(inst, ExperimentConfig("framework", trials=2, blackbox="match"))
+    with pytest.raises(ValidationError, match="match blackbox needs unit-demand"):
+        run_proxy_framework(inst, ArrivalOrder.identity(3), make_sample_then_match_blackbox())
 
 
 # --- dispatcher equals the subset DP ---------------------------------------
@@ -168,12 +211,14 @@ def test_dispatcher_equals_subset_dp(inst, data):
 
 def reference_stats(inst, config) -> RatioStats:
     """estimate_ratio as it stood with the subset DP: 2^m true tables for
-    OPT and for scoring the mechanism's bundles."""
+    OPT and for scoring the bundles of the mechanism, alg1 and the
+    framework with the greedy blackbox."""
     tables = [bundle_value_table(spec, inst.signals) for spec in inst.specs]
     opt = solve_from_tables(range(inst.n), tables, range(inst.m)).value
     sigs = inst.signals.values
-    weights = {i: tuple(inst.specs[i].item_weight(j, sigs) for j in range(inst.m))
-               for i in range(inst.n)}
+    if config.alg == "rei19":
+        weights = {i: tuple(inst.specs[i].item_weight(j, sigs) for j in range(inst.m))
+                   for i in range(inst.n)}
     ratios = []
     cache: dict = {}
     for t in range(config.trials):
@@ -181,7 +226,13 @@ def reference_stats(inst, config) -> RatioStats:
         if config.alg == "rei19":
             welfare = run_sample_then_match(weights, inst.m, order, sample_size(inst.n, "n/e")).welfare
         else:
-            bundles = run_mechanism(inst, order, solver_cache=cache).bundles
+            if config.alg == "mechanism":
+                bundles = run_mechanism(inst, order, solver_cache=cache).bundles
+            elif config.alg == "alg1":
+                bundles = run_sample_then_greedy(inst, order, sample_size(inst.n, "n/e")).bundles
+            else:
+                blackbox = make_sample_then_greedy_blackbox()
+                bundles = run_proxy_framework(inst, order, blackbox).bundles
             welfare = 0
             for i in sorted(bundles):
                 welfare += tables[i][mask_of(bundles[i])]
@@ -199,3 +250,16 @@ def test_matching_ratio_equals_subset_dp_reference(inst, alg):
     config = ExperimentConfig(alg, trials=12, seed=inst.n)
     got = estimate_ratio(inst, config)
     assert repr(got) == repr(reference_stats(inst, config))
+
+
+@pytest.mark.parametrize("alg", ["alg1", "framework"])
+def test_mixed_family_ratio_equals_table_reference(alg):
+    # Unit-demand agents next to XOS ones: the subset DP still needs their
+    # 2^m tables, and their bundles are scored from item weights.
+    n, m = 5, 3
+    parts = [generate_instance(GeneratorParams(n, m, family), seed=4)
+             for family in ("xos_capped", "unit_demand_const", "separable_linear")]
+    inst = Instance([parts[i % 3].specs[i] for i in range(n)], parts[0].signals)
+    for form in (inst, inst.exact()):
+        config = ExperimentConfig(alg, trials=12, seed=3)
+        assert repr(estimate_ratio(form, config)) == repr(reference_stats(form, config))

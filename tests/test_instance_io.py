@@ -65,6 +65,13 @@ def test_loader_rejects_nan_and_negative_entries():
     with pytest.raises(ValidationError, match="finite"):
         instance_from_json(doc)
 
+    # Each number is checked once, where it is read, so the message names
+    # its place in the file.
+    doc = instance_to_json(generate_instance(GeneratorParams(3, 1, "separable_linear"), seed=0))
+    doc["agents"][1]["others"][0]["coeffs"][2] = -1.0
+    with pytest.raises(ValidationError, match=r"^agents\[1\]\.others\[0\]\.coeffs\[2\] .*nonnegative"):
+        instance_from_json(doc)
+
 
 def test_loader_rejects_structural_mismatches():
     doc = base_doc()

@@ -185,16 +185,37 @@ def test_outcome_invariant_rejects_payment_without_items():
         )
 
 
-def test_allocation_identity_with_proxy_framework():
-    """The mechanism's allocation is the framework run with a matching blackbox."""
-    for seed in range(5):
-        inst = generate_instance(GeneratorParams(6, 3, "separable_capped"), seed=seed)
-        rng = np.random.default_rng(seed)
-        order = ArrivalOrder.random(6, rng)
-        outcome = run_mechanism(inst, order)
-        blackbox = make_sample_then_match_blackbox(k=outcome.k2)
-        framework = run_proxy_framework(inst, order, blackbox)
-        assert dict(framework.bundles) == dict(outcome.bundles)
+GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def separable_instances(draw):
+    """Generated separable instances, or hand-built ones on a 0.25 grid (ties)."""
+    n = draw(st.integers(3, 11))
+    m = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        family = draw(st.sampled_from(["separable_capped", "separable_linear"]))
+        return generate_instance(GeneratorParams(n, m, family), seed=draw(st.integers(0, 999)))
+    own_scale = [[draw(GRID) for _ in range(m)] for _ in range(n)]
+    other_rows = [[[draw(GRID) for _ in range(n)] for _ in range(m)] for _ in range(n)]
+    caps = [[draw(st.one_of(st.none(), GRID)) for _ in range(m)] for _ in range(n)]
+    signals = [draw(GRID) for _ in range(n)]
+    return separable_instance(n, m, own_scale, other_rows, signals, caps)
+
+
+@DERANDOMIZED
+@given(inst=separable_instances(), data=st.data())
+def test_allocation_identity_with_proxy_framework(inst, data):
+    """The mechanism's allocation is the framework run with a matching blackbox.
+
+    k2 = floor(n/2e) is passed explicitly: the framework's own default,
+    floor((n - n//2)/e), differs from it at n = 5.
+    """
+    order = ArrivalOrder(data.draw(st.permutations(range(inst.n))))
+    outcome = run_mechanism(inst, order)
+    blackbox = make_sample_then_match_blackbox(k=outcome.k2)
+    framework = run_proxy_framework(inst, order, blackbox)
+    assert dict(framework.bundles) == dict(outcome.bundles)
 
 
 def test_epic_trivial_grid_and_private_values():

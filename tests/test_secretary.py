@@ -206,7 +206,7 @@ def test_framework_rejects_overlapping_blackbox_output():
     inst = generate_instance(GeneratorParams(4, 2, "xos_linear"), seed=2)
 
     def greedy_overlap(arrivals, m):
-        return {agent: frozenset({0}) for agent, _ in arrivals}
+        return {agent: frozenset({0}) for agent, *_ in arrivals}
 
     with pytest.raises(RuntimeError):
         run_proxy_framework(inst, ArrivalOrder.identity(4), greedy_overlap)
