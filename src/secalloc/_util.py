@@ -31,16 +31,6 @@ def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits_of(mask))
 
 
-def submasks(mask: int):
-    """Yield every submask of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def _ratio(v) -> tuple[int, int]:
     # A Fraction keeps a NumPy integer's fixed-width type as its numerator.
     f = Fraction(v)

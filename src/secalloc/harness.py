@@ -217,6 +217,9 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
         inst, range(inst.n), lambda i: inst.signals, table=runtime.true_table
     ).value
 
+    if config.alg == "rei19":
+        weights = {i: runtime.true_weights(i) for i in range(inst.n)}
+
     def welfare(order: ArrivalOrder):
         if config.alg == "alg1":
             k = config.k if config.k is not None else sample_size(inst.n, "n/e")
@@ -226,7 +229,6 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
             return run_sample_then_greedy(inst, order, k, runtime=runtime).welfare
         if config.alg == "rei19":
             k = config.k if config.k is not None else sample_size(inst.n, "n/e")
-            weights = {i: runtime.true_weights(i) for i in range(inst.n)}
             res = run_sample_then_match(weights, inst.m, order, k, cache=runtime.matchings)
             return res.welfare
         if config.alg == "framework":

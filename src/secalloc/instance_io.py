@@ -38,7 +38,10 @@ def _number(x, what: str) -> float:
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         raise ValidationError(f"{what} must be a number, got {x!r}")
     _check_nonneg(x, what)
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an int past the float range
+        raise ValidationError(f"{what} must be finite, got an integer beyond the float range") from None
 
 
 def _weight_from_json(doc: dict, what: str) -> SignalWeight:
@@ -147,6 +150,8 @@ def load_instance(path: Union[str, Path]) -> Instance:
         raise ValidationError(f"cannot read instance file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise ValidationError(f"{path} holds a number that cannot be read: {exc}") from exc
     return instance_from_json(doc)
 
 

@@ -20,9 +20,12 @@ disagree on ties.
 unit-demand and separable agents to the polynomial matching solver and
 everything else to the subset DP over bundle tables.  The matching is
 solved on its t x q matrix of agents and items, from the shorter side, in
-O(min(t, q)^2 * max(t, q)) exact integer steps.  Every exponential
-step raises :class:`CapabilityError` against an explicit budget before
-it allocates anything.
+O(min(t, q)^2 * max(t, q)) exact integer steps.  The subset DP over t
+agents and q items takes q * 2^q + (t - 2) * 3^q + 2^q steps for t >= 2
+(2^q for one agent), at most t * 3^q: only its middle agents enumerate
+every (set, submask) pair.  Every exponential step raises
+:class:`CapabilityError` against an explicit budget before it allocates
+anything; the subset DP's guard still counts t * 3^q.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from ._util import integerize, set_of, submasks
+from ._util import integerize, set_of
 from .errors import CapabilityError, ValidationError
 from .valuations import Instance, _UnitDemand, bundle_value_table
 
@@ -96,8 +99,12 @@ def solve_from_tables(
     ``tables[r]`` is indexed by bitmask over ``item_ids`` (ascending).
     This is the shared engine behind :func:`opt_general`,
     :func:`opt_dispatch` and the per-step optima of the online
-    algorithms.  The DP visits t * 3^q (agent, submask) pairs; that count
-    is the capability guard.
+    algorithms.  Agent 0's layer is a subset-max pass (its submasks
+    need no convolution with the empty layer before it), q * 2^q steps;
+    agents 1..t-2 visit all 3^q (set, submask) pairs; and agent t-1 is
+    solved at the full item set only, the one entry the reconstruction
+    reads, in 2^q steps.  That is at most t * 3^q steps, the count the
+    capability guard checks.
     """
     agents = list(agent_ids)
     items = list(item_ids)
@@ -131,26 +138,54 @@ def solve_from_tables(
         rank_w = r + 1
         combined.append([ints[off + mask] * big_k - rank_w * codes[mask] for mask in range(size)])
 
+    # f[s] is the best objective of item set s over the agents before r,
+    # and choices[r][s] is agent r's bundle in it.  Candidates of equal
+    # value are the same assignment (the objective's maximizer is unique),
+    # so the order they are visited in cannot change any argmax.
     f = [0] * size
     choices = []
-    for r in range(t):
+    if t > 1:
+        # Agent 0 follows an all-zero f: its layer is the best submask of
+        # each set (comb[0] = 0 is taking nothing), one pass over s minus
+        # each of its items.
+        g = combined[0][:]
+        choice = list(range(size))
+        for s_mask in range(1, size):
+            best = g[s_mask]
+            best_x = s_mask
+            rest = s_mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                sub = s_mask ^ low
+                if g[sub] > best:
+                    best = g[sub]
+                    best_x = choice[sub]
+            g[s_mask] = best
+            choice[s_mask] = best_x
+        f = g
+        choices.append(choice)
+    for r in range(1, t - 1):
         comb = combined[r]
         g = [0] * size
         choice = [0] * size
         for s_mask in range(size):
             best = f[s_mask]  # agent r takes nothing
             best_x = 0
-            for x in submasks(s_mask):
-                if x == 0:
-                    continue
+            x = s_mask
+            while x:
                 cand = f[s_mask ^ x] + comb[x]
                 if cand > best:
                     best = cand
                     best_x = x
+                x = (x - 1) & s_mask
             g[s_mask] = best
             choice[s_mask] = best_x
         f = g
         choices.append(choice)
+    # The reconstruction reads the last layer at the full item set only.
+    comb = combined[t - 1]
+    choices.append({full: max(range(size), key=lambda x: f[full ^ x] + comb[x])})
 
     bundles: dict[int, frozenset] = {}
     per_agent: dict[int, object] = {}

@@ -3,9 +3,11 @@
 These deliberately re-derive everything from the definitions by literal
 enumeration, sharing no code with the library paths they check, or keep
 the slower algorithm a fast path replaced (such as the padded square
-Hungarian behind ``ref_opt_matching_padded``).  The tie-break notion matches the library contract: among exact-rational
-welfare maximizers, the lexicographically smallest assignment vector
-(items in ascending order, "unassigned" before agent ids ascending).
+Hungarian behind ``ref_opt_matching_padded`` and the all-layers subset
+DP behind ``ref_solve_from_tables``).  The tie-break notion matches the
+library contract: among exact-rational welfare maximizers, the
+lexicographically smallest assignment vector (items in ascending order,
+"unassigned" before agent ids ascending).
 """
 
 import itertools
@@ -219,6 +221,84 @@ def ref_opt_matching_padded(agents, weights, items):
             per_agent[ag[r]] = w_rows[r][b]
     value = sum(per_agent[i] for i in sorted(per_agent)) if per_agent else 0.0
     return Allocation(frozenset(ag), frozenset(it), bundles, per_agent, value)
+
+
+def _ref_submasks(mask):
+    """Yield every submask of ``mask``, including 0 and ``mask`` itself."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def ref_solve_from_tables(agent_ids, tables, item_ids):
+    """The subset DP with every agent's layer over all t * 3^q (set, submask) pairs.
+
+    ``tables[r]`` is indexed by bitmask over ``item_ids``, as for the
+    library's ``solve_from_tables``; weights are scaled with
+    :func:`ref_integerize` and perturbed by the same lex code.
+    """
+    agents = list(agent_ids)
+    items = list(item_ids)
+    q = len(items)
+    t = len(agents)
+    full = (1 << q) - 1
+
+    if t == 0:
+        return Allocation(frozenset(), frozenset(items), {}, {}, 0.0)
+
+    for r, tab in enumerate(tables):
+        if tab[0] != 0:
+            raise ValidationError(f"oracle for agent {agents[r]} must value the empty bundle at 0")
+
+    flat = [v for tab in tables for v in tab]
+    ints, _ = ref_integerize(flat)
+    size = 1 << q
+    base = t + 2
+    big_k = base ** q
+    codes = [sum(base ** (q - 1 - b) for b in range(q) if mask >> b & 1) for mask in range(size)]
+
+    combined = []
+    for r in range(t):
+        off = r * size
+        rank_w = r + 1
+        combined.append([ints[off + mask] * big_k - rank_w * codes[mask] for mask in range(size)])
+
+    f = [0] * size
+    choices = []
+    for r in range(t):
+        comb = combined[r]
+        g = [0] * size
+        choice = [0] * size
+        for s_mask in range(size):
+            best = f[s_mask]  # agent r takes nothing
+            best_x = 0
+            for x in _ref_submasks(s_mask):
+                if x == 0:
+                    continue
+                cand = f[s_mask ^ x] + comb[x]
+                if cand > best:
+                    best = cand
+                    best_x = x
+            g[s_mask] = best
+            choice[s_mask] = best_x
+        f = g
+        choices.append(choice)
+
+    bundles = {}
+    per_agent = {}
+    s_mask = full
+    for r in range(t - 1, -1, -1):
+        x = choices[r][s_mask]
+        s_mask ^= x
+        if x:
+            bundles[agents[r]] = frozenset(items[b] for b in range(q) if x >> b & 1)
+            per_agent[agents[r]] = tables[r][x]
+
+    value = sum(per_agent[i] for i in sorted(per_agent)) if per_agent else 0.0
+    return Allocation(frozenset(agents), frozenset(items), bundles, per_agent, value)
 
 
 def ref_run_sample_then_greedy(inst, order, k):

@@ -87,6 +87,16 @@ def test_bad_counts_exit_one(tmp_path):
     assert out.stderr.startswith("error:") and "trials" in out.stderr
 
 
+def test_run_rejects_an_integer_beyond_the_float_range(tmp_path):
+    doc = {"n": 1, "m": 1, "signals": [10**400],
+           "agents": [{"type": "unit_demand", "weights": [{"coeffs": [1.0]}]}]}
+    inst_path = tmp_path / "huge.json"
+    inst_path.write_text(json.dumps(doc))
+    out = run_cli("run", "--instance", str(inst_path), "--alg", "alg1", "--trials", "2")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "signals[0]" in out.stderr
+
+
 def test_audit_rejects_non_separable(tmp_path):
     inst_path = tmp_path / "inst.json"
     run_cli("generate", "--n", "4", "--m", "2", "--family", "xos_linear",

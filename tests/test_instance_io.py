@@ -73,6 +73,19 @@ def test_loader_rejects_nan_and_negative_entries():
         instance_from_json(doc)
 
 
+def test_loader_rejects_integers_beyond_the_float_range(tmp_path):
+    doc = base_doc()
+    doc["signals"][0] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"^signals\[0\] .*float range"):
+        load_instance(path)
+    # Past the interpreter's integer-parsing limit the JSON reader itself fails.
+    path.write_text(json.dumps(base_doc()).replace("0.5", "1" + "0" * 5000))
+    with pytest.raises(ValidationError, match="cannot be read"):
+        load_instance(path)
+
+
 def test_loader_rejects_structural_mismatches():
     doc = base_doc()
     doc["signals"] = [0.5]

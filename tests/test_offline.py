@@ -14,6 +14,7 @@ from reference_impls import (
     ref_matching_brute,
     ref_opt_brute,
     ref_opt_matching_padded,
+    ref_solve_from_tables,
 )
 
 from secalloc import (
@@ -24,6 +25,7 @@ from secalloc import (
     opt_matching,
 )
 from secalloc._util import integerize
+from secalloc.offline import solve_from_tables
 
 
 def additive_oracle(agent, item_weights):
@@ -308,6 +310,44 @@ def test_allocation_invariants_are_enforced():
             per_agent_value={0: 1.0},
             value=3.0,  # value does not match split
         )
+
+
+DP_CELLS = {
+    "float": st.floats(0, 1),
+    "grid": st.integers(0, 8).map(lambda k: k * 0.25),
+    "fraction": st.fractions(min_value=0, max_value=4, max_denominator=6),
+    "zero": st.just(0.0),
+}
+
+
+@st.composite
+def dp_cases(draw):
+    """Agents, bundle tables and items; ids unsorted and non-contiguous."""
+    t = draw(st.integers(0, 7))
+    q = draw(st.integers(0, 6))
+    agents = draw(st.lists(st.integers(0, 40), min_size=t, max_size=t, unique=True))
+    items = draw(st.lists(st.integers(0, 20), min_size=q, max_size=q, unique=True))
+    cell = DP_CELLS[draw(st.sampled_from(sorted(DP_CELLS)))]
+    tables = []
+    for _ in agents:
+        if draw(st.integers(0, 4)) == 0:
+            tables.append([0.0] * (1 << q))
+        else:
+            tables.append([0] + draw(st.lists(cell, min_size=(1 << q) - 1, max_size=(1 << q) - 1)))
+    return agents, tables, items
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=dp_cases())
+@example(case=([5], [[0, 0.5, 0.25, 0.5]], [7, 2]))
+@example(case=([3], [[0]], []))
+@example(case=([9, 2, 4], [[0], [0], [0]], []))
+def test_subset_dp_equals_all_layers_reference(case):
+    """The DP with its first and last layers cut short equals the full 3^q DP."""
+    agents, tables, items = case
+    alloc = solve_from_tables(agents, tables, items)
+    assert repr(alloc) == repr(ref_solve_from_tables(agents, tables, items))
 
 
 # --- exact integerization ----------------------------------------------------
