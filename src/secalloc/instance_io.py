@@ -8,8 +8,9 @@ The on-disk document is::
                 {"type": "separable", "own": [W, ...], "others": [W, ...]}]}
 
 with every weight W = {"coeffs": [...], "const": c, "cap": c?}.  The
-loader rejects NaN, infinities and negative entries; the machine-readable
-schema ships in docs/instance_schema.json.
+loader rejects NaN, infinities and negative entries, and any entry of the
+wrong shape or type, with a ValidationError naming its path; the
+machine-readable schema ships in docs/instance_schema.json.
 """
 
 from __future__ import annotations
@@ -44,15 +45,37 @@ def _number(x, what: str) -> float:
         raise ValidationError(f"{what} must be finite, got an integer beyond the float range") from None
 
 
+def _object(x, what: str) -> dict:
+    if not isinstance(x, dict):
+        raise ValidationError(f"{what} must be an object, got {x!r}")
+    return x
+
+
+def _array(x, what: str) -> list:
+    if not isinstance(x, (list, tuple)):
+        raise ValidationError(f"{what} must be an array, got {x!r}")
+    return x
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _weight_from_json(doc: dict, what: str) -> SignalWeight:
     if not isinstance(doc, dict) or "coeffs" not in doc:
         raise ValidationError(f"{what} must be an object with a 'coeffs' list")
-    coeffs = tuple(_number(c, f"{what}.coeffs[{k}]") for k, c in enumerate(doc["coeffs"]))
+    raw = _array(doc["coeffs"], f"{what}.coeffs")
+    coeffs = tuple(_number(c, f"{what}.coeffs[{k}]") for k, c in enumerate(raw))
     const = _number(doc.get("const", 0.0), f"{what}.const")
     cap = doc.get("cap")
     if cap is not None:
         cap = _number(cap, f"{what}.cap")
     return _unchecked(SignalWeight, coeffs=coeffs, const=const, cap=cap)
+
+
+def _weight_list(spec_doc: dict, key: str, where: str) -> list:
+    ws = _array(spec_doc.get(key, []), f"{where}.{key}")
+    return [_weight_from_json(w, f"{where}.{key}[{j}]") for j, w in enumerate(ws)]
 
 
 def _weight_to_json(w: SignalWeight) -> dict:
@@ -63,48 +86,55 @@ def _weight_to_json(w: SignalWeight) -> dict:
 
 
 def instance_from_json(doc: dict) -> Instance:
+    _object(doc, "the instance document")
     for key in ("n", "m", "signals", "agents"):
         if key not in doc:
             raise ValidationError(f"instance document is missing '{key}'")
     n, m = doc["n"], doc["m"]
-    signals = tuple(_number(s, f"signals[{i}]") for i, s in enumerate(doc["signals"]))
+    for key, count in (("n", n), ("m", m)):
+        if not _is_int(count) or count < 1:
+            raise ValidationError(f"{key} must be an integer >= 1, got {count!r}")
+    signals = tuple(
+        _number(s, f"signals[{i}]") for i, s in enumerate(_array(doc["signals"], "signals"))
+    )
     if len(signals) != n:
         raise ValidationError(f"{len(signals)} signals for n={n}")
-    if len(doc["agents"]) != n:
-        raise ValidationError(f"{len(doc['agents'])} agent specs for n={n}")
+    agents = _array(doc["agents"], "agents")
+    if len(agents) != n:
+        raise ValidationError(f"{len(agents)} agent specs for n={n}")
+    family = doc.get("family")
+    if not isinstance(family, (str, type(None))):
+        raise ValidationError(f"family must be a string, got {family!r}")
 
     specs = []
-    for i, spec_doc in enumerate(doc["agents"]):
-        kind = spec_doc.get("type")
+    for i, spec_doc in enumerate(agents):
         where = f"agents[{i}]"
+        kind = _object(spec_doc, where).get("type")
         if kind == "xos":
             clauses = []
-            for c, clause_doc in enumerate(spec_doc.get("clauses", [])):
+            for c, clause_doc in enumerate(_array(spec_doc.get("clauses", []), f"{where}.clauses")):
                 clause = {}
-                for entry in clause_doc:
-                    j = entry.get("item")
-                    if not isinstance(j, int) or not (0 <= j < m):
+                for e, entry in enumerate(_array(clause_doc, f"{where}.clauses[{c}]")):
+                    j = _object(entry, f"{where}.clauses[{c}][{e}]").get("item")
+                    if not (_is_int(j) and 0 <= j < m):
                         raise ValidationError(f"{where}.clauses[{c}]: bad item id {j!r}")
                     clause[j] = _weight_from_json(entry.get("weight"), f"{where}.clauses[{c}]")
                 clauses.append(clause)
             specs.append(XOSValuation(clauses, num_items=m))
         elif kind == "unit_demand":
-            weights = [_weight_from_json(w, f"{where}.weights[{j}]")
-                       for j, w in enumerate(spec_doc.get("weights", []))]
+            weights = _weight_list(spec_doc, "weights", where)
             if len(weights) != m:
                 raise ValidationError(f"{where}: expected {m} item weights")
             specs.append(UnitDemandValuation(weights))
         elif kind == "separable":
-            own = [_weight_from_json(w, f"{where}.own[{j}]")
-                   for j, w in enumerate(spec_doc.get("own", []))]
-            others = [_weight_from_json(w, f"{where}.others[{j}]")
-                      for j, w in enumerate(spec_doc.get("others", []))]
+            own = _weight_list(spec_doc, "own", where)
+            others = _weight_list(spec_doc, "others", where)
             if len(own) != m or len(others) != m:
                 raise ValidationError(f"{where}: own/others must both list {m} weights")
             specs.append(SeparableValuation(i, own, others))
         else:
             raise ValidationError(f"{where}: unknown type {kind!r}")
-    return Instance(specs, _unchecked(SignalProfile, values=signals), family=doc.get("family"))
+    return Instance(specs, _unchecked(SignalProfile, values=signals), family=family)
 
 
 def instance_to_json(inst: Instance) -> dict:

@@ -26,6 +26,12 @@ agents and q items takes q * 2^q + (t - 2) * 3^q + 2^q steps for t >= 2
 every (set, submask) pair.  Every exponential step raises
 :class:`CapabilityError` against an explicit budget before it allocates
 anything; the subset DP's guard still counts t * 3^q.
+
+Inputs are checked here, not outputs: a weight or bundle value that is
+not finite raises :class:`ValidationError` naming its agent and items,
+while the returned :class:`Allocation` is built valid and not checked
+again.  Nothing converts to float on the way, so exact ints and
+Fractions past the float range come back exact.
 """
 
 from __future__ import annotations
@@ -48,7 +54,8 @@ class Allocation:
     """An allocation of (some) items to agents, with its welfare split.
 
     ``bundles`` holds only agents that received something; ``agents`` and
-    ``items`` record the sets the optimum was computed over.
+    ``items`` record the sets the optimum was computed over.  Only the
+    solvers below build one, valid by construction, so it is not re-checked.
     """
 
     agents: frozenset
@@ -56,22 +63,6 @@ class Allocation:
     bundles: Mapping[int, frozenset]
     per_agent_value: Mapping[int, object]
     value: object
-
-    def __post_init__(self):
-        seen = set()
-        for i, bundle in self.bundles.items():
-            if i not in self.agents:
-                raise ValidationError(f"bundle for unknown agent {i}")
-            if not bundle:
-                raise ValidationError(f"agent {i} carries an empty bundle entry")
-            if not bundle <= self.items:
-                raise ValidationError(f"agent {i} allocated items outside the item set")
-            if seen & bundle:
-                raise ValidationError(f"agent {i} overlaps a previously allocated item")
-            seen |= bundle
-        total = sum(self.per_agent_value.values())
-        if abs(self.value - total) > 1e-9 * max(1.0, abs(self.value)):
-            raise ValidationError("allocation value does not match the per-agent split")
 
     def bundle_of(self, agent: int) -> frozenset:
         return self.bundles.get(agent, frozenset())
@@ -126,8 +117,22 @@ def solve_from_tables(
             raise ValidationError(f"oracle for agent {agents[r]} must value the empty bundle at 0")
 
     flat = [v for tab in tables for v in tab]
-    ints, _ = integerize(flat)
     size = 1 << q
+    try:
+        ints, _ = integerize(flat)
+    except (OverflowError, ValueError):
+        # Finite inputs can still overflow to inf (a huge coefficient times
+        # a huge signal); find the first cell only now, off the hot path.
+        for c, v in enumerate(flat):
+            try:
+                integerize([v])
+            except (OverflowError, ValueError):
+                r, mask = divmod(c, size)
+                raise ValidationError(
+                    f"bundle value for agent {agents[r]}, items "
+                    f"{sorted(items[b] for b in set_of(mask))} must be finite, got {v!r}"
+                ) from None
+        raise
     base = t + 2
     big_k = base ** q
     codes = _lex_codes(q, base)
@@ -187,6 +192,7 @@ def solve_from_tables(
     comb = combined[t - 1]
     choices.append({full: max(range(size), key=lambda x: f[full ^ x] + comb[x])})
 
+    # Each choice is a submask of s_mask and leaves it: bundles are disjoint.
     bundles: dict[int, frozenset] = {}
     per_agent: dict[int, object] = {}
     s_mask = full
@@ -344,6 +350,7 @@ def opt_matching(
     else:
         pairs = sorted((r, b) for b, r in enumerate(_min_cost_assignment(list(zip(*cost)))))
 
+    # Distinct columns and positive weights: one item per winner, no overlap.
     bundles: dict[int, frozenset] = {}
     per_agent: dict[int, object] = {}
     for r, b in pairs:

@@ -141,13 +141,6 @@ class RunResult:
     welfare: object
     trace: tuple
 
-    def __post_init__(self):
-        seen: set = set()
-        for i, b in self.bundles.items():
-            if seen & b:
-                raise ValidationError(f"agent {i} overlaps another agent's bundle")
-            seen |= b
-
     def bundle_of(self, agent: int) -> frozenset:
         return self.bundles.get(agent, frozenset())
 

@@ -8,6 +8,10 @@ DP behind ``ref_solve_from_tables``).  The tie-break notion matches the
 library contract: among exact-rational welfare maximizers, the
 lexicographically smallest assignment vector (items in ascending order,
 "unassigned" before agent ids ascending).
+
+:func:`assert_invariants` holds the structural checks that the library's
+result records no longer run on themselves; the properties call it on
+every record they produce.
 """
 
 import itertools
@@ -19,6 +23,7 @@ from typing import Callable
 import numpy as np
 
 from secalloc.errors import ValidationError
+from secalloc.mechanism import MechanismOutcome
 from secalloc.offline import Allocation
 from secalloc.valuations import SignalProfile, eval_valuation, mask_signals
 
@@ -38,6 +43,42 @@ class WeightOracle:
         """Unit-demand oracle over a dense per-item weight vector."""
         ws = tuple(weights)
         return cls(agent, lambda bundle: max((ws[j] for j in bundle), default=0))
+
+
+def assert_invariants(record):
+    """Assert what every library-built result record holds by construction.
+
+    For an ``Allocation``, a ``RunResult`` or a ``MechanismOutcome``:
+
+    * bundles are nonempty and pairwise disjoint;
+    * a run's trace gives each agent its bundle, out of the items still
+      available at its step;
+    * an ``Allocation``'s bundles go to its agents, lie in its items and
+      have positive values, and ``value`` is ``per_agent_value`` summed in
+      agent order (0.0 when nothing is allocated), repr for repr;
+    * a ``MechanismOutcome`` gives one item per winner, and every agent
+      without a bundle pays exactly 0.
+    """
+    seen = set()
+    for i, bundle in record.bundles.items():
+        assert bundle, f"agent {i} has an empty bundle entry"
+        assert not seen & bundle, f"agent {i} overlaps another agent's bundle"
+        seen |= bundle
+    if isinstance(record, Allocation):
+        per_agent = record.per_agent_value
+        assert set(record.bundles) <= record.agents
+        assert seen <= record.items
+        assert set(per_agent) == set(record.bundles)
+        assert all(v > 0 for v in per_agent.values())
+        total = sum(per_agent[i] for i in sorted(per_agent)) if per_agent else 0.0
+        assert repr(record.value) == repr(total)
+        return
+    for step in record.trace:
+        assert step.bundle <= step.available, f"step {step.t} takes an unavailable item"
+    assert {s.agent: s.bundle for s in record.trace if s.bundle} == dict(record.bundles)
+    if isinstance(record, MechanismOutcome):
+        assert all(len(b) == 1 for b in record.bundles.values())
+        assert all(p == 0 for i, p in record.payments.items() if i not in record.bundles)
 
 
 def ref_integerize(values):

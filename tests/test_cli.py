@@ -97,6 +97,27 @@ def test_run_rejects_an_integer_beyond_the_float_range(tmp_path):
     assert out.stderr.startswith("error:") and "signals[0]" in out.stderr
 
 
+def test_run_rejects_a_malformed_document(tmp_path):
+    doc = {"n": 1, "m": 1, "signals": [0.5], "agents": [5]}
+    inst_path = tmp_path / "bad.json"
+    inst_path.write_text(json.dumps(doc))
+    out = run_cli("run", "--instance", str(inst_path), "--alg", "alg1", "--trials", "2")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "agents[0] must be an object" in out.stderr
+
+
+def test_run_rejects_a_bundle_value_that_overflows(tmp_path):
+    # Every number is finite, but 1e200 * 1e200 overflows to inf.
+    weight = {"coeffs": [1e200]}
+    doc = {"n": 1, "m": 1, "signals": [1e200],
+           "agents": [{"type": "xos", "clauses": [[{"item": 0, "weight": weight}]]}]}
+    inst_path = tmp_path / "overflow.json"
+    inst_path.write_text(json.dumps(doc))
+    out = run_cli("run", "--instance", str(inst_path), "--alg", "alg1", "--trials", "2")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "agent 0, items [0] must be finite" in out.stderr
+
+
 def test_audit_rejects_non_separable(tmp_path):
     inst_path = tmp_path / "inst.json"
     run_cli("generate", "--n", "4", "--m", "2", "--family", "xos_linear",

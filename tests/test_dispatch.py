@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference_impls import WeightOracle
+from reference_impls import WeightOracle, assert_invariants
 
 import secalloc.offline
 import secalloc.secretary
@@ -203,6 +203,8 @@ def test_dispatcher_equals_subset_dp(inst, data):
     want = solve_from_tables(
         ag, [bundle_value_table(inst.specs[i], signals(i)) for i in ag], range(inst.m)
     )
+    assert_invariants(got)
+    assert_invariants(want)
     assert repr(got.value) == repr(want.value)
     assert dict(got.bundles) == dict(want.bundles)
     assert repr(sorted(got.per_agent_value.items())) == repr(sorted(want.per_agent_value.items()))

@@ -108,6 +108,44 @@ def test_loader_rejects_structural_mismatches():
         instance_from_json(doc)
 
 
+def xos_doc():
+    doc = base_doc()
+    doc["agents"][1] = {"type": "xos", "clauses": [[{"item": 0, "weight": {"coeffs": [0.0, 1.0]}}]]}
+    return doc
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (["agents", 0], 5, r"^agents\[0\] must be an object, got 5"),
+    (["agents", 1, "clauses", 0, 0], 3, r"^agents\[1\]\.clauses\[0\]\[0\] must be an object"),
+    (["agents", 1, "clauses", 0], 3, r"^agents\[1\]\.clauses\[0\] must be an array"),
+    (["agents", 1, "clauses", 0, 0, "item"], False, r"^agents\[1\]\.clauses\[0\]: bad item id False"),
+    (["agents", 0, "weights"], 5, r"^agents\[0\]\.weights must be an array"),
+    (["agents", 0, "weights", 0, "coeffs"], 3, r"^agents\[0\]\.weights\[0\]\.coeffs must be an array"),
+    (["agents"], 5, r"^agents must be an array"),
+    (["signals"], 5, r"^signals must be an array, got 5"),
+    (["m"], "2", r"^m must be an integer >= 1, got '2'"),
+    (["m"], 1.0, r"^m must be an integer >= 1, got 1.0"),
+    (["m"], 0, r"^m must be an integer >= 1, got 0"),
+    (["n"], True, r"^n must be an integer >= 1, got True"),
+    (["family"], [1, 2], r"^family must be a string, got \[1, 2\]"),
+])
+def test_loader_names_the_path_of_a_malformed_entry(path, value, message):
+    doc = xos_doc()
+    instance_from_json(doc)  # the unmodified document loads
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with pytest.raises(ValidationError, match=message):
+        instance_from_json(doc)
+
+
+@pytest.mark.parametrize("doc", [[base_doc()], 5, "instance", None])
+def test_loader_rejects_a_non_object_document(doc):
+    with pytest.raises(ValidationError, match="^the instance document must be an object"):
+        instance_from_json(doc)
+
+
 def test_load_missing_file_and_bad_json(tmp_path):
     with pytest.raises(ValidationError, match="cannot read"):
         load_instance(tmp_path / "missing.json")

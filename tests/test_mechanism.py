@@ -7,6 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_impls import assert_invariants
+
 from secalloc import (
     ArrivalOrder,
     SignalWeight,
@@ -19,7 +21,6 @@ from secalloc import (
     run_mechanism,
     run_proxy_framework,
 )
-from secalloc.mechanism import MechanismOutcome
 from secalloc.valuations import Instance, SeparableValuation
 from secalloc.harness import GeneratorParams, generate_instance
 
@@ -173,16 +174,15 @@ def test_audit_counts_are_validated_before_any_run():
         check_random_sampling_bound(inst, "monte_carlo", trials=0)
 
 
-def test_outcome_invariant_rejects_payment_without_items():
-    with pytest.raises(ValidationError):
-        MechanismOutcome(
-            bundles={},
-            payments={0: 1.0},
-            utilities={0: -1.0},
-            trace=(),
-            k1=1,
-            k2=0,
-        )
+def test_overflowing_payment_is_rejected():
+    # Finite reports, but agent 0's others-part reads agent 1's signal at
+    # 1e300 * 1e10: agent 0's g_full, and so its price, is inf.
+    n = 3
+    others_rows = [[[0.0, 1e300, 0.0]], [[0.0] * n], [[0.0, 1e300, 0.0]]]
+    own_scale = [[1.0] for _ in range(n)]
+    inst = separable_instance(n, 1, own_scale, others_rows, [0.5, 1e10, 0.5])
+    with pytest.raises(ValidationError, match="agent 0 has a non-finite payment inf"):
+        run_mechanism(inst, ArrivalOrder([2, 0, 1]))
 
 
 GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
@@ -215,6 +215,8 @@ def test_allocation_identity_with_proxy_framework(inst, data):
     outcome = run_mechanism(inst, order)
     blackbox = make_sample_then_match_blackbox(k=outcome.k2)
     framework = run_proxy_framework(inst, order, blackbox)
+    assert_invariants(outcome)
+    assert_invariants(framework)
     assert dict(framework.bundles) == dict(outcome.bundles)
 
 
@@ -323,4 +325,5 @@ def test_shared_solver_cache_equals_fresh_cache(data):
         order = ArrivalOrder(data.draw(st.permutations(range(n))))
         for reports in (None, [data.draw(WEIGHTS) for _ in range(n)]):
             shared = run_mechanism(inst, order, reports, solver_cache=cache)
+            assert_invariants(shared)
             assert repr(shared) == repr(run_mechanism(inst, order, reports))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from reference_impls import (
     WeightOracle,
+    assert_invariants,
     ref_integerize,
     ref_matching_brute,
     ref_opt_brute,
@@ -18,7 +19,6 @@ from reference_impls import (
 )
 
 from secalloc import (
-    Allocation,
     CapabilityError,
     ValidationError,
     opt_general,
@@ -97,6 +97,7 @@ def test_opt_general_matches_brute_force(gridded):
             for a in range(n_agents)
         }
         alloc = opt_general(range(n_agents), oracles, range(n_items))
+        assert_invariants(alloc)
         bundles, per_agent, value = ref_opt_brute(
             range(n_agents),
             lambda a, b: tables[a][sum(1 << j for j in b)],
@@ -152,6 +153,7 @@ WEIGHT_KINDS = {
 
 def _padded_reference_case(agents, items, weights):
     alloc = opt_matching(agents, weights, items)
+    assert_invariants(alloc)
     assert repr(alloc) == repr(ref_opt_matching_padded(agents, weights, items))
 
 
@@ -293,23 +295,31 @@ def test_opt_value_monotone_in_agents_and_items():
         assert full.value >= fewer_items.value - 1e-12
 
 
-def test_allocation_invariants_are_enforced():
-    with pytest.raises(ValidationError):
-        Allocation(
-            agents=frozenset({0, 1}),
-            items=frozenset({0}),
-            bundles={0: frozenset({0}), 1: frozenset({0})},  # overlap
-            per_agent_value={0: 1.0, 1: 1.0},
-            value=2.0,
-        )
-    with pytest.raises(ValidationError):
-        Allocation(
-            agents=frozenset({0}),
-            items=frozenset({0}),
-            bundles={0: frozenset({0})},
-            per_agent_value={0: 1.0},
-            value=3.0,  # value does not match split
-        )
+def test_exact_optima_past_the_float_range():
+    """Exact ints and Fractions beyond any float flow through every solver."""
+    huge = 10**400
+    matched = opt_matching([0, 1], {0: [huge, 1], 1: [huge + 1, 0]}, [0, 1])
+    assert matched.bundles == {0: frozenset({1}), 1: frozenset({0})}
+    assert matched.value == huge + 2
+    single = solve_from_tables([0], [[0, huge]], [0])
+    assert single.bundles == {0: frozenset({0})} and single.value == huge
+    third = Fraction(huge, 3)
+    oracles = {0: WeightOracle(0, lambda b: third * len(b)),
+               1: WeightOracle(1, lambda b: Fraction(huge) if 1 in b else 0)}
+    general = opt_general([0, 1], oracles, [0, 1])
+    assert general.bundles == {0: frozenset({0}), 1: frozenset({1})}
+    assert general.value == third + huge
+    for alloc in (matched, single, general):
+        assert_invariants(alloc)
+
+
+def test_subset_dp_names_a_non_finite_bundle_value():
+    # Finite weights can overflow: 1e200 * 1e200 is inf.
+    tables = [[0, 0.5, 1.0, 1.5], [0, 1e200 * 1e200, 0.0, 1e200 * 1e200]]
+    with pytest.raises(ValidationError, match=r"agent 9, items \[4\] must be finite, got inf"):
+        solve_from_tables([3, 9], tables, [4, 8])
+    with pytest.raises(ValidationError, match=r"agent 3, items \[4, 8\] .*nan"):
+        solve_from_tables([3], [[0, 0.5, 1.0, float("nan")]], [4, 8])
 
 
 DP_CELLS = {
@@ -347,6 +357,7 @@ def test_subset_dp_equals_all_layers_reference(case):
     """The DP with its first and last layers cut short equals the full 3^q DP."""
     agents, tables, items = case
     alloc = solve_from_tables(agents, tables, items)
+    assert_invariants(alloc)
     assert repr(alloc) == repr(ref_solve_from_tables(agents, tables, items))
 
 

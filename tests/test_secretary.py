@@ -9,7 +9,11 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from reference_impls import ref_run_sample_then_greedy, ref_run_sample_then_match
+from reference_impls import (
+    assert_invariants,
+    ref_run_sample_then_greedy,
+    ref_run_sample_then_match,
+)
 
 from secalloc import (
     ArrivalOrder,
@@ -55,6 +59,7 @@ def test_all_orders_match_reference_interpreter_additive():
     assert k == 1
     for perm in itertools.permutations(range(3)):
         res = run_sample_then_greedy(inst, ArrivalOrder(perm), k)
+        assert_invariants(res)
         ref_bundles, ref_welfare = ref_run_sample_then_greedy(inst, perm, k)
         assert dict(res.bundles) == ref_bundles
         assert res.welfare == pytest.approx(ref_welfare, abs=1e-12)
@@ -68,6 +73,7 @@ def test_random_instances_match_reference_interpreter(family):
         k = int(rng.integers(0, 4))
         order = ArrivalOrder.random(4, rng)
         res = run_sample_then_greedy(inst, order, k)
+        assert_invariants(res)
         ref_bundles, ref_welfare = ref_run_sample_then_greedy(inst, order.agents, k)
         assert dict(res.bundles) == ref_bundles
         assert res.welfare == pytest.approx(ref_welfare, abs=1e-9)
@@ -268,6 +274,7 @@ def test_sample_then_match_equals_reference(data):
     for _ in range(3):
         order = data.draw(st.permutations(ids))
         res = run_sample_then_match(weights, m, order, k, cache=cache)
+        assert_invariants(res)
         trace, bundles, welfare = ref_run_sample_then_match(weights, m, order, k)
         assert [(r.t, r.agent, r.available, r.bundle) for r in res.trace] == trace
         assert repr(res.bundles) == repr(bundles)
@@ -293,6 +300,7 @@ def test_match_cache_shared_across_weight_maps_equals_fresh_runs(data):
     for weights, order, k in runs:
         shared = run_sample_then_match(weights, m, order, k, cache=cache)
         fresh = run_sample_then_match(weights, m, order, k)
+        assert_invariants(shared)
         assert repr(shared) == repr(fresh)
         trace, bundles, welfare = ref_run_sample_then_match(weights, m, order, k)
         assert [(r.t, r.agent, r.available, r.bundle) for r in shared.trace] == trace
