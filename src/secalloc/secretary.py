@@ -45,7 +45,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 from ._util import bits_of, mask_of, set_of, trial_rng
 from .errors import CapabilityError, ValidationError
 from .offline import opt_matching, solve_from_tables
-from .valuations import Instance, _UnitDemand, bundle_value_table, mask_signals
+from .valuations import Instance, _UnitDemand, _unchecked, bundle_value_table, mask_signals
 
 __all__ = [
     "ArrivalOrder",
@@ -104,7 +104,8 @@ class ArrivalOrder:
 
     @classmethod
     def random(cls, n: int, rng) -> "ArrivalOrder":
-        return cls(int(a) for a in rng.permutation(n))
+        # A drawn permutation is valid by construction.
+        return _unchecked(cls, agents=tuple(rng.permutation(n).tolist()))
 
 
 def _check_order(order: ArrivalOrder, n: int) -> ArrivalOrder:
@@ -425,7 +426,8 @@ def survival_probability(
     """Probability that ``item`` is still unallocated after ``step`` steps.
 
     Runs the sample-then-greedy policy with sample size k for the first
-    ``step`` arrivals of each order.  Exact mode enumerates all n! orders
+    ``step`` arrivals of each order.  Exact mode enumerates the n!/(n-step)!
+    ordered prefixes of that length, each standing for (n-step)! orders,
     and returns a Fraction; Monte Carlo returns a float over ``trials``
     seeded orders.
     """
@@ -445,9 +447,8 @@ def survival_probability(
     if mode == "exact":
         if inst.n > 7:
             raise CapabilityError(f"exact mode enumerates {inst.n}! orders; n <= 7 required")
-        total = math.factorial(inst.n)
-        count = sum(1 for perm in itertools.permutations(range(inst.n)) if survives(perm))
-        return Fraction(count, total)
+        count = sum(1 for prefix in itertools.permutations(range(inst.n), step) if survives(prefix))
+        return Fraction(count * math.factorial(inst.n - step), math.factorial(inst.n))
     if mode == "monte_carlo":
         count = 0
         for trial in range(trials):

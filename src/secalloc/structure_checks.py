@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import set_of
+from ._util import bits_of, set_of
 from .errors import CapabilityError, ValidationError
 from .valuations import (
     SignalProfile,
@@ -27,6 +27,7 @@ from .valuations import (
     ValuationSpec,
     XOSValuation,
     _UnitDemand,
+    bundle_value_table,
     eval_valuation,
     mask_signals,
 )
@@ -63,6 +64,7 @@ def _profile(signals) -> SignalProfile:
 
 def _dims(spec: SpecLike, signals: SignalProfile, num_items) -> tuple[int, int]:
     if isinstance(spec, ValuationSpec):
+        spec._validate_signals(signals)
         return spec.num_agents, spec.num_items
     if num_items is None:
         raise ValidationError("num_items is required when checking a raw oracle")
@@ -81,8 +83,9 @@ def check_monotone(
 
     Exhaustive over single-item bundle extensions and single-agent signal
     unmaskings when 2^m * 2^n fits the budget (transitivity covers the
-    rest of both partial orders); otherwise checks that many sampled
-    pairs, adding random upward signal bumps.
+    rest of both partial orders): one bundle table per masked profile,
+    so each (bundle, profile) point is evaluated once.  Otherwise checks
+    that many sampled pairs, adding random upward signal bumps.
     """
     s = _profile(signals)
     n, m = _dims(spec, s, num_items)
@@ -92,33 +95,34 @@ def check_monotone(
 
     if (1 << m) * (1 << n) <= sample_budget:
         profiles = [mask_signals(s, set_of(a_mask)) for a_mask in range(1 << n)]
-        for a_mask in range(1 << n):
-            prof = profiles[a_mask]
-            for x_mask in range(1 << m):
-                bundle = set_of(x_mask)
-                base = val(bundle, prof)
+        if isinstance(spec, ValuationSpec):
+            tables = [bundle_value_table(spec, prof) for prof in profiles]
+        else:
+            tables = [[val(set_of(x), prof) for x in range(1 << m)] for prof in profiles]
+        for a_mask, tab in enumerate(tables):
+            for x_mask, base in enumerate(tab):
                 for j in range(m):
                     if x_mask >> j & 1:
                         continue
-                    bigger = val(bundle | {j}, prof)
+                    bigger = tab[x_mask | 1 << j]
                     if bigger < base - VALUE_TOL:
                         return CheckResult(False, {
                             "kind": "items",
-                            "bundle": sorted(bundle),
-                            "bundle_sup": sorted(bundle | {j}),
+                            "bundle": bits_of(x_mask),
+                            "bundle_sup": bits_of(x_mask | 1 << j),
                             "value": base,
                             "value_sup": bigger,
                         })
                 for i in range(n):
                     if a_mask >> i & 1:
                         continue
-                    richer = val(bundle, profiles[a_mask | (1 << i)])
+                    richer = tables[a_mask | 1 << i][x_mask]
                     if richer < base - VALUE_TOL:
                         return CheckResult(False, {
                             "kind": "signals",
-                            "bundle": sorted(bundle),
-                            "profile": prof.values,
-                            "profile_sup": profiles[a_mask | (1 << i)].values,
+                            "bundle": bits_of(x_mask),
+                            "profile": profiles[a_mask].values,
+                            "profile_sup": profiles[a_mask | 1 << i].values,
                             "value": base,
                             "value_sup": richer,
                         })

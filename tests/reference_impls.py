@@ -3,8 +3,9 @@
 These deliberately re-derive everything from the definitions by literal
 enumeration, sharing no code with the library paths they check, or keep
 the slower algorithm a fast path replaced (such as the padded square
-Hungarian behind ``ref_opt_matching_padded`` and the all-layers subset
-DP behind ``ref_solve_from_tables``).  The tie-break notion matches the
+Hungarian behind ``ref_opt_matching_padded``, the all-layers subset DP
+behind ``ref_solve_from_tables`` and the point-by-point monotonicity
+loop behind ``ref_check_monotone``).  The tie-break notion matches the
 library contract: among exact-rational welfare maximizers, the
 lexicographically smallest assignment vector (items in ascending order,
 "unassigned" before agent ids ascending).
@@ -22,10 +23,12 @@ from typing import Callable
 
 import numpy as np
 
+from secalloc._util import set_of
 from secalloc.errors import ValidationError
 from secalloc.mechanism import MechanismOutcome
 from secalloc.offline import Allocation
-from secalloc.valuations import SignalProfile, eval_valuation, mask_signals
+from secalloc.structure_checks import VALUE_TOL, CheckResult
+from secalloc.valuations import SignalProfile, ValuationSpec, eval_valuation, mask_signals
 
 
 @dataclass(frozen=True)
@@ -390,3 +393,54 @@ def ref_run_sample_then_match(weights, num_items, order, k):
             welfare += weights[agent][j]
             available = available - mine
     return trace, bundles, welfare
+
+
+def ref_check_monotone(spec, signals, *, num_items=None):
+    """The exhaustive monotonicity check that evaluates every point per use.
+
+    Each (bundle, profile) point is evaluated once as a base, once more
+    per single-item extension and once more per single-signal unmasking,
+    in the order (agent mask, bundle mask, items, agents); the first
+    violation found is the witness.
+    """
+    s = signals if isinstance(signals, SignalProfile) else SignalProfile(signals)
+    if isinstance(spec, ValuationSpec):
+        n, m = spec.num_agents, spec.num_items
+    else:
+        n, m = len(s), num_items
+
+    def val(bundle, prof):
+        return eval_valuation(spec, bundle, prof)
+
+    profiles = [mask_signals(s, set_of(a_mask)) for a_mask in range(1 << n)]
+    for a_mask in range(1 << n):
+        prof = profiles[a_mask]
+        for x_mask in range(1 << m):
+            bundle = set_of(x_mask)
+            base = val(bundle, prof)
+            for j in range(m):
+                if x_mask >> j & 1:
+                    continue
+                bigger = val(bundle | {j}, prof)
+                if bigger < base - VALUE_TOL:
+                    return CheckResult(False, {
+                        "kind": "items",
+                        "bundle": sorted(bundle),
+                        "bundle_sup": sorted(bundle | {j}),
+                        "value": base,
+                        "value_sup": bigger,
+                    })
+            for i in range(n):
+                if a_mask >> i & 1:
+                    continue
+                richer = val(bundle, profiles[a_mask | (1 << i)])
+                if richer < base - VALUE_TOL:
+                    return CheckResult(False, {
+                        "kind": "signals",
+                        "bundle": sorted(bundle),
+                        "profile": prof.values,
+                        "profile_sup": profiles[a_mask | (1 << i)].values,
+                        "value": base,
+                        "value_sup": richer,
+                    })
+    return CheckResult(True)

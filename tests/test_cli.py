@@ -1,8 +1,12 @@
-"""End-to-end CLI flows via subprocess: generate, run, check, audit."""
+"""End-to-end CLI flows: generate, run, check, audit (via subprocess or in-process)."""
 
 import json
 import subprocess
 import sys
+
+import pytest
+
+from secalloc import GeneratorParams, cli, generate_instance, save_instance
 
 SECRETARY = [sys.executable, "-m", "secalloc.cli"]
 
@@ -129,3 +133,100 @@ def test_audit_rejects_non_separable(tmp_path):
                   "--blackbox", "match", "--trials", "2")
     assert out.returncode == 1
     assert out.stderr.startswith("error:") and "unit-demand" in out.stderr
+
+
+# `secretary check` stdout on three generated float instances, byte for byte.
+CHECK_SEPARABLE_CAPPED = """\
+[PASS] agent 0 monotone
+[PASS] agent 0 subadditive over signals
+[PASS] agent 0 XOS over items
+[PASS] agent 1 monotone
+[PASS] agent 1 subadditive over signals
+[PASS] agent 1 XOS over items
+[PASS] agent 2 monotone
+[PASS] agent 2 subadditive over signals
+[PASS] agent 2 XOS over items
+[PASS] agent 3 monotone
+[PASS] agent 3 subadditive over signals
+[PASS] agent 3 XOS over items
+[PASS] agent 4 monotone
+[PASS] agent 4 subadditive over signals
+[PASS] agent 4 XOS over items
+[PASS] agent 5 monotone
+[PASS] agent 5 subadditive over signals
+[PASS] agent 5 XOS over items
+[PASS] item survival >= k/t
+[PASS] random half-sample proxy optimum >= OPT/4: lhs=5.844819 rhs=2.469730
+[PASS] tail harmonic sum bound on 200 random valid sequences
+all checks passed
+"""
+
+CHECK_SEPARABLE_LINEAR = """\
+[PASS] agent 0 monotone
+[PASS] agent 0 subadditive over signals
+[PASS] agent 0 XOS over signals
+[PASS] agent 0 XOS over items
+[PASS] agent 1 monotone
+[PASS] agent 1 subadditive over signals
+[PASS] agent 1 XOS over signals
+[PASS] agent 1 XOS over items
+[PASS] agent 2 monotone
+[PASS] agent 2 subadditive over signals
+[PASS] agent 2 XOS over signals
+[PASS] agent 2 XOS over items
+[PASS] agent 3 monotone
+[PASS] agent 3 subadditive over signals
+[PASS] agent 3 XOS over signals
+[PASS] agent 3 XOS over items
+[PASS] agent 4 monotone
+[PASS] agent 4 subadditive over signals
+[PASS] agent 4 XOS over signals
+[PASS] agent 4 XOS over items
+[PASS] agent 5 monotone
+[PASS] agent 5 subadditive over signals
+[PASS] agent 5 XOS over signals
+[PASS] agent 5 XOS over items
+[PASS] item survival >= k/t
+[PASS] random half-sample proxy optimum >= OPT/4: lhs=4.005974 rhs=1.901305
+[PASS] tail harmonic sum bound on 200 random valid sequences
+all checks passed
+"""
+
+CHECK_XOS_LINEAR = """\
+[PASS] agent 0 monotone
+[PASS] agent 0 subadditive over signals
+[PASS] agent 0 XOS over signals
+[PASS] agent 0 XOS over items
+[PASS] agent 1 monotone
+[PASS] agent 1 subadditive over signals
+[PASS] agent 1 XOS over signals
+[PASS] agent 1 XOS over items
+[PASS] agent 2 monotone
+[PASS] agent 2 subadditive over signals
+[PASS] agent 2 XOS over signals
+[PASS] agent 2 XOS over items
+[PASS] agent 3 monotone
+[PASS] agent 3 subadditive over signals
+[PASS] agent 3 XOS over signals
+[PASS] agent 3 XOS over items
+[PASS] agent 4 monotone
+[PASS] agent 4 subadditive over signals
+[PASS] agent 4 XOS over signals
+[PASS] agent 4 XOS over items
+[PASS] item survival >= k/t
+[PASS] tail harmonic sum bound on 200 random valid sequences
+all checks passed
+"""
+
+
+@pytest.mark.parametrize("family, n, m, seed, expected", [
+    ("separable_capped", 6, 4, 1300, CHECK_SEPARABLE_CAPPED),
+    ("separable_linear", 6, 4, 1400, CHECK_SEPARABLE_LINEAR),
+    ("xos_linear", 5, 4, 1500, CHECK_XOS_LINEAR),
+], ids=["separable_capped", "separable_linear", "xos_linear"])
+def test_check_output_is_golden(tmp_path, capsys, family, n, m, seed, expected):
+    path = tmp_path / "inst.json"
+    save_instance(generate_instance(GeneratorParams(n, m, family), seed), path)
+    capsys.readouterr()
+    assert cli.main(["check", "--instance", str(path), "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == expected

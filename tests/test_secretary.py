@@ -224,6 +224,14 @@ def test_framework_needs_two_agents():
         run_proxy_framework(inst, ArrivalOrder.identity(1), lambda arrivals, m: {})
 
 
+def test_random_order_is_the_generators_permutation():
+    # Drawn orders skip validation; they must stay the generator's draw, as ints.
+    for n in (0, 1, 6):
+        drawn = ArrivalOrder.random(n, np.random.default_rng(n))
+        assert drawn.agents == tuple(int(a) for a in np.random.default_rng(n).permutation(n))
+        assert all(type(a) is int for a in drawn.agents)
+
+
 def test_survival_is_one_during_the_sample_phase():
     inst = generate_instance(GeneratorParams(4, 2, "additive"), seed=3)
     assert survival_probability(inst, 0, step=2, k=2) == Fraction(1)

@@ -1,19 +1,32 @@
 """Definition checkers: passes on the constructive family, witnesses on injections."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from reference_impls import ref_check_monotone
 
 from secalloc import (
     CapabilityError,
+    SeparableValuation,
     SignalProfile,
     SignalWeight,
     UnitDemandValuation,
+    ValidationError,
     XOSValuation,
     check_monotone,
     check_subadditive_over_signals,
     check_xos_over_items,
     check_xos_over_signals,
 )
-from secalloc.harness import GeneratorParams, generate_instance
+from secalloc.harness import FAMILIES, GeneratorParams, generate_instance
+
+# Deterministic and free of wall-clock checks, so tier-1 runs repeat exactly.
+DERANDOMIZED = settings(derandomize=True, deadline=None, database=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])  # ties and zeros
 
 
 @pytest.mark.parametrize("family", ["xos_linear", "xos_capped", "separable_capped"])
@@ -50,6 +63,106 @@ def test_monotone_sampled_mode_also_catches():
     result = check_monotone(oracle, SignalProfile([1.0] * 8), sample_budget=200,
                             num_items=8, seed=1)
     assert not result.passed
+
+
+def _on_grid(spec):
+    """The same spec with every weight parameter rounded to the 0.25 grid."""
+    def snap(w):
+        q = lambda x: round(x * 4) / 4
+        return SignalWeight([q(c) for c in w.coeffs], q(w.const),
+                            None if w.cap is None else q(w.cap))
+
+    if isinstance(spec, XOSValuation):
+        return XOSValuation(({j: snap(w) for j, w in clause} for clause in spec.clauses),
+                            num_items=spec.num_items)
+    if isinstance(spec, SeparableValuation):
+        return SeparableValuation(spec.agent, map(snap, spec.own), map(snap, spec.others))
+    return UnitDemandValuation(map(snap, spec.weights))
+
+
+@st.composite
+def spec_cases(draw):
+    """One generated agent of any family, as float, 0.25-grid or Fraction input."""
+    family = draw(st.sampled_from(FAMILIES))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    inst = generate_instance(GeneratorParams(n, m, family), seed=draw(st.integers(0, 2**16)))
+    spec, signals = inst.specs[draw(st.integers(0, n - 1))], inst.signals.values
+    form = draw(st.sampled_from(["float", "grid", "fraction"]))
+    if form == "grid":
+        spec, signals = _on_grid(spec), draw(st.lists(GRID, min_size=n, max_size=n))
+    elif form == "fraction":
+        spec, signals = spec.exact(), [Fraction(v) for v in signals]
+    return spec, SignalProfile(signals)
+
+
+@st.composite
+def raw_oracle_cases(draw):
+    """A set function monotone in both orders, with an optional injected shrink.
+
+    "items" drops the value once the bundle contains the set T; "signals"
+    drops it once every agent of A has a nonzero signal; "both" needs both.
+    "size" and "count" drop it once the bundle has |T| items or |A|
+    agents have nonzero signals, so several extensions of one point
+    violate at once and the search order picks the witness.
+    """
+    n, m = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    item_w = draw(st.lists(GRID, min_size=m, max_size=m))
+    sig_w = draw(st.lists(GRID, min_size=n, max_size=n))
+    shrink = draw(st.sampled_from(["none", "items", "signals", "both", "size", "count"]))
+    t_set = draw(st.frozensets(st.integers(0, m - 1), min_size=1))
+    a_set = draw(st.frozensets(st.integers(0, n - 1), min_size=1))
+    drop = draw(st.sampled_from([0.5, 1.0, 2.0]))
+
+    def oracle(bundle, signals):
+        value = sum(item_w[j] for j in bundle) * (1.0 + sum(w * x for w, x in zip(sig_w, signals)))
+        in_t, all_a = t_set <= bundle, all(signals[k] for k in a_set)
+        hit = {
+            "none": False, "items": in_t, "signals": all_a, "both": in_t and all_a,
+            "size": len(bundle) >= len(t_set),
+            "count": sum(1 for x in signals if x) >= len(a_set),
+        }[shrink]
+        return value - drop if hit else value
+
+    signals = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]), min_size=n, max_size=n))
+    return oracle, SignalProfile(signals), m
+
+
+@DERANDOMIZED
+@given(spec_cases())
+def test_monotone_tables_agree_with_pointwise_reference_on_specs(case):
+    spec, signals = case
+    assert check_monotone(spec, signals).passed == ref_check_monotone(spec, signals).passed
+
+
+@DERANDOMIZED
+@given(raw_oracle_cases())
+def test_monotone_tables_agree_with_pointwise_reference_on_oracles(case):
+    oracle, signals, m = case
+    got = check_monotone(oracle, signals, num_items=m)
+    want = ref_check_monotone(oracle, signals, num_items=m)
+    assert got.passed == want.passed
+    assert got.witness == want.witness
+
+
+def test_exhaustive_monotone_check_evaluates_each_point_once():
+    calls = []
+
+    def oracle(bundle, signals):
+        calls.append((bundle, tuple(signals)))
+        return len(bundle) * (1.0 + sum(signals))
+
+    n, m = 3, 4
+    assert check_monotone(oracle, SignalProfile([0.5, 1.0, 2.0]), num_items=m)
+    assert len(calls) == (1 << m) * (1 << n)
+    assert len(set(calls)) == len(calls)
+
+
+def test_monotone_rejects_a_profile_of_the_wrong_length():
+    # The tables would silently ignore the extra signal.
+    spec = UnitDemandValuation([SignalWeight([1.0, 1.0])])
+    for budget in (4096, 1):
+        with pytest.raises(ValidationError, match="length 3"):
+            check_monotone(spec, SignalProfile([1.0, 1.0, 1.0]), sample_budget=budget)
 
 
 def test_empty_bundle_never_beats_any_bundle():

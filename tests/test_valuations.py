@@ -1,5 +1,6 @@
 """Valuation types: masking, evaluation, normalization, monotonicity."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -225,12 +226,21 @@ def test_monotone_in_signals_componentwise(family):
                 assert eval_valuation(spec, bundle, lo) <= eval_valuation(spec, bundle, hi) + 1e-12
 
 
-@pytest.mark.parametrize("family", ["additive", "xos_capped", "separable_capped", "unit_demand_const"])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_bundle_table_matches_direct_evaluation(family):
-    for seed in range(5):
+    # Every agent mask, as check_monotone reads them; Fractions exactly.
+    for seed, exact in itertools.product(range(5), (False, True)):
         inst = generate_instance(GeneratorParams(4, 4, family), seed=seed)
-        for spec in inst.specs:
-            table = bundle_value_table(spec, inst.signals)
-            for mask in range(1 << inst.m):
-                bundle = {j for j in range(inst.m) if mask >> j & 1}
-                assert table[mask] == pytest.approx(eval_valuation(spec, bundle, inst.signals), abs=1e-12)
+        if exact:
+            inst = inst.exact()
+        for agents in range(1 << inst.n):
+            prof = mask_signals(inst.signals, {i for i in range(inst.n) if agents >> i & 1})
+            for spec in inst.specs:
+                table = bundle_value_table(spec, prof)
+                for mask in range(1 << inst.m):
+                    bundle = {j for j in range(inst.m) if mask >> j & 1}
+                    direct = eval_valuation(spec, bundle, prof)
+                    if exact:
+                        assert table[mask] == direct
+                    else:
+                        assert table[mask] == pytest.approx(direct, abs=1e-12)
