@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from ._util import trial_rng
 from .errors import CapabilityError, ValidationError
 from .harness import (
     ALGORITHMS,
@@ -121,8 +122,7 @@ def _cmd_audit(args) -> int:
     k_skip = inst.n // 2 + sample_size(inst.n, "n/2e")
     worst = 0.0
     for trial in range(args.orders):
-        rng = np.random.default_rng(np.random.SeedSequence((args.seed, trial)))
-        order = ArrivalOrder.random(inst.n, rng)
+        order = ArrivalOrder.random(inst.n, trial_rng(args.seed, trial))
         cache: dict = {}
         for pos in range(k_skip, inst.n):
             audit = check_epic(

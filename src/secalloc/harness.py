@@ -7,6 +7,7 @@ and parallelism cannot change the statistics.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -17,13 +18,14 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from ._util import mask_of, trial_rng
+from ._util import trial_rng
 from .errors import CapabilityError, ValidationError
-from .mechanism import _require_separable, run_mechanism
+from .mechanism import _require_separable
 from .offline import opt_dispatch
 from .secretary import (
     ArrivalOrder,
     InstanceRuntime,
+    _check_sample_size,
     make_sample_then_greedy_blackbox,
     make_sample_then_match_blackbox,
     run_proxy_framework,
@@ -156,6 +158,8 @@ class ExperimentConfig:
             raise ValidationError(f"unknown mode {self.mode!r}")
         if self.blackbox not in ("auto", "match", "greedy"):
             raise ValidationError(f"unknown blackbox {self.blackbox!r}")
+        if self.alg == "mechanism" and self.k is not None:
+            raise ValidationError("the mechanism's sample sizes are fixed; k does not apply")
 
 
 @dataclass(frozen=True)
@@ -188,65 +192,61 @@ class RatioStats:
         }
 
 
-def _make_order_source(inst: Instance, config: ExperimentConfig):
-    if config.mode == "exact_orders":
-        if inst.n > 7:
-            raise CapabilityError(f"exact order enumeration needs n <= 7, got n={inst.n}")
-        return [ArrivalOrder(p) for p in itertools.permutations(range(inst.n))]
-    return None  # drawn lazily per trial
-
-
 def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
     """Mean ALG/OPT over arrival orders, with OPT the true-signal optimum.
 
-    The denominator is exact (:func:`opt_dispatch`: a matching on
-    unit-demand and separable instances); in exact_orders mode the mean
-    is the average over all n! permutations (and stays a Fraction when
-    the instance's signals are Fractions).
+    Each order runs only the algorithm's allocation rule, picked and
+    checked once before OPT; the mechanism's is the proxy framework with
+    the match blackbox at sample size floor(n/2e).  The denominator is exact
+    (:func:`opt_dispatch`: a matching on unit-demand and separable
+    instances); in exact_orders mode the mean is the average over all
+    n! permutations (and stays a Fraction when the instance's signals
+    are Fractions).
     """
+    n, alg, k = inst.n, config.alg, config.k
     unit_demand = all(isinstance(spec, _UnitDemand) for spec in inst.specs)
     match = config.blackbox == "match" or (config.blackbox == "auto" and unit_demand)
-    if not unit_demand and (config.alg == "rei19" or config.alg == "framework" and match):
-        user = "rei19" if config.alg == "rei19" else "the match blackbox"
+    if not unit_demand and (alg == "rei19" or alg == "framework" and match):
+        user = "rei19" if alg == "rei19" else "the match blackbox"
         raise ValidationError(f"{user} needs unit-demand (or separable) valuations")
-    if config.alg == "mechanism":
+    if alg == "mechanism":
         _require_separable(inst)
+        if n < 3:
+            raise ValidationError("the mechanism needs n >= 3")
+        # Its allocation rule: prices do not enter welfare.
+        alg, match, k = "framework", True, sample_size(n, "n/2e")
+    if config.mode == "exact_orders" and n > 7:
+        raise CapabilityError(f"exact order enumeration needs n <= 7, got n={n}")
 
     runtime = InstanceRuntime(inst)
-    opt_true = opt_dispatch(
-        inst, range(inst.n), lambda i: inst.signals, table=runtime.true_table
-    ).value
+    if alg == "framework":
+        if k is not None:
+            _check_sample_size(k, n - n // 2)
+        make = make_sample_then_match_blackbox if match else make_sample_then_greedy_blackbox
+        rule = functools.partial(run_proxy_framework, inst, blackbox=make(k), runtime=runtime)
+    else:
+        k = sample_size(n, "n/2" if alg == "alg2" else "n/e") if k is None else k
+        _check_sample_size(k, n)
+        if alg == "rei19":
+            weights = {i: runtime.true_weights(i) for i in range(n)}
+            rule = functools.partial(run_sample_then_match, weights, inst.m, k=k, cache={})
+        else:
+            rule = functools.partial(run_sample_then_greedy, inst, k=k, runtime=runtime)
 
-    if config.alg == "rei19":
-        weights = {i: runtime.true_weights(i) for i in range(inst.n)}
+    opt_true = opt_dispatch(inst, range(n), lambda i: inst.signals, table=runtime.true_table).value
+    try:
+        opt_value = float(opt_true)
+    except OverflowError:
+        raise ValidationError("opt_value: the true-signal optimum is beyond the float range") from None
 
-    def welfare(order: ArrivalOrder):
-        if config.alg == "alg1":
-            k = config.k if config.k is not None else sample_size(inst.n, "n/e")
-            return run_sample_then_greedy(inst, order, k, runtime=runtime).welfare
-        if config.alg == "alg2":
-            k = config.k if config.k is not None else sample_size(inst.n, "n/2")
-            return run_sample_then_greedy(inst, order, k, runtime=runtime).welfare
-        if config.alg == "rei19":
-            k = config.k if config.k is not None else sample_size(inst.n, "n/e")
-            res = run_sample_then_match(weights, inst.m, order, k, cache=runtime.matchings)
-            return res.welfare
-        if config.alg == "framework":
-            make = make_sample_then_match_blackbox if match else make_sample_then_greedy_blackbox
-            return run_proxy_framework(inst, order, make(config.k), runtime=runtime).welfare
-        outcome = run_mechanism(inst, order, solver_cache=runtime.matchings)
-        return runtime.true_welfare({i: mask_of(b) for i, b in outcome.bundles.items()})
-
-    orders = _make_order_source(inst, config)
-    if orders is None:
-        orders = (
-            ArrivalOrder.random(inst.n, trial_rng(config.seed, t))
-            for t in range(config.trials)
-        )
+    if config.mode == "exact_orders":
+        orders = [ArrivalOrder(p) for p in itertools.permutations(range(n))]
+    else:
+        orders = (ArrivalOrder.random(n, trial_rng(config.seed, t)) for t in range(config.trials))
 
     ratios = []
     for order in orders:
-        alg_value = welfare(order)
+        alg_value = rule(order).welfare
         # An all-zero optimum makes every allocation trivially optimal.
         ratios.append(alg_value / opt_true if opt_true > 0 else 1.0)
 
@@ -261,7 +261,7 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
         min_ratio=float(as_float.min()),
         max_ratio=float(as_float.max()),
         trials=len(ratios),
-        opt_value=float(opt_true),
+        opt_value=opt_value,
     )
 
 

@@ -200,6 +200,11 @@ def _memo_matching(memo: dict, agents: Sequence[int], weights: Mapping[int, tupl
     return hit
 
 
+def _check_sample_size(k: int, n: int) -> None:
+    if not (0 <= k < n):
+        raise ValidationError(f"sample size k={k} must satisfy 0 <= k < n={n}")
+
+
 class InstanceRuntime:
     """Per-instance caches shared across many runs (orders) of one instance.
 
@@ -209,8 +214,7 @@ class InstanceRuntime:
     optimum's table once every agent has arrived) and, for
     unit-demand agents, ``true_weights``, so matching paths do no 2^m
     work.  All are exact in the numeric domain of the instance's
-    signals.  ``matchings`` is the :func:`_memo_matching` memo of the
-    instance's rei19 and mechanism runs.
+    signals.
     """
 
     def __init__(self, inst: Instance):
@@ -218,7 +222,6 @@ class InstanceRuntime:
         self._true_tables: dict = {}
         self._true_weights: dict = {}
         self._step_opt: dict = {}
-        self.matchings: dict = {}
 
     def true_table(self, agent: int) -> list:
         if agent not in self._true_tables:
@@ -285,8 +288,7 @@ def run_sample_then_greedy(
     :func:`run_sample_then_match` is deliberate and load-bearing.
     """
     order = _check_order(order, inst.n)
-    if not (0 <= k < inst.n):
-        raise ValidationError(f"sample size k={k} must satisfy 0 <= k < n={inst.n}")
+    _check_sample_size(k, inst.n)
     rt = runtime if runtime is not None else InstanceRuntime(inst)
     return _run_result(_arrive(order, inst.m, k, rt.greedy_step), rt.true_welfare)
 
@@ -313,8 +315,7 @@ def run_sample_then_match(
         raise ValidationError("empty arrival order")
     if k is None:
         k = sample_size(n, "n/e")
-    if not (0 <= k < n):
-        raise ValidationError(f"sample size k={k} must satisfy 0 <= k < n={n}")
+    _check_sample_size(k, n)
     memo = cache if cache is not None else {}
     weights = {a: tuple(ws) for a, ws in weights.items()}
 
@@ -344,6 +345,7 @@ def make_sample_then_greedy_blackbox(k: Optional[int] = None) -> Blackbox:
             return mask_of(alloc.bundle_of(agent)) & avail
 
         kk = sample_size(len(arrivals), "n/e") if k is None else k
+        _check_sample_size(kk, len(arrivals))
         order = [agent for agent, *_ in arrivals]
         steps = _arrive(order, num_items, kk, greedy_step)
         return {agent: set_of(taken) for _, agent, _, taken in steps if taken}
@@ -352,7 +354,11 @@ def make_sample_then_greedy_blackbox(k: Optional[int] = None) -> Blackbox:
 
 
 def make_sample_then_match_blackbox(k: Optional[int] = None) -> Blackbox:
-    """Classical secretary matching on frozen item weights; agents must be unit-demand."""
+    """Classical secretary matching on frozen item weights; agents must be unit-demand.
+
+    Every call shares one content-keyed :func:`_memo_matching` memo; only bundles leave it.
+    """
+    memo: dict = {}
 
     def run(arrivals, num_items):
         weights = {}
@@ -363,7 +369,7 @@ def make_sample_then_match_blackbox(k: Optional[int] = None) -> Blackbox:
                 )
             weights[agent] = spec.item_weights(sigs)
         order = ArrivalOrder(agent for agent, *_ in arrivals)
-        return dict(run_sample_then_match(weights, num_items, order, k).bundles)
+        return dict(run_sample_then_match(weights, num_items, order, k, cache=memo).bundles)
 
     return run
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import bits_of, set_of
+from ._util import bits_of, mask_of, set_of
 from .errors import CapabilityError, ValidationError
 from .valuations import (
     SignalProfile,
@@ -69,6 +69,18 @@ def _dims(spec: SpecLike, signals: SignalProfile, num_items) -> tuple[int, int]:
     if num_items is None:
         raise ValidationError("num_items is required when checking a raw oracle")
     return len(signals), num_items
+
+
+def _masked_value(spec: SpecLike, bundle: frozenset, s: SignalProfile):
+    """The bundle's value at ``s`` masked to an agent bitmask, evaluated once per mask."""
+    memo: dict = {}
+
+    def value(agent_mask: int):
+        if agent_mask not in memo:
+            memo[agent_mask] = eval_valuation(spec, bundle, mask_signals(s, set_of(agent_mask)))
+        return memo[agent_mask]
+
+    return value
 
 
 def check_monotone(
@@ -168,13 +180,8 @@ def check_subadditive_over_signals(
     """
     s = _profile(signals)
     n = len(s)
-    bundle = frozenset(bundle)
-    full = eval_valuation(spec, bundle, s)
-
-    def split_ok(keep: frozenset):
-        left = eval_valuation(spec, bundle, mask_signals(s, keep))
-        right = eval_valuation(spec, bundle, mask_signals(s, frozenset(range(n)) - keep))
-        return left + right, left, right
+    value = _masked_value(spec, frozenset(bundle), s)
+    everyone = (1 << n) - 1
 
     if samples is None:
         if n > 14:
@@ -182,19 +189,21 @@ def check_subadditive_over_signals(
                 f"exhaustive split check needs 2^{n} evaluations; "
                 "pass samples= to check random splits instead"
             )
-        subsets = (set_of(mask) for mask in range(1 << n))
+        subsets = range(1 << n)
     else:
         rng = np.random.default_rng(seed)
         subsets = (
-            frozenset(int(i) for i in np.flatnonzero(rng.random(n) < 0.5))
+            mask_of(int(i) for i in np.flatnonzero(rng.random(n) < 0.5))
             for _ in range(samples)
         )
 
+    full = value(everyone)
     for keep in subsets:
-        total, left, right = split_ok(frozenset(keep))
+        left, right = value(keep), value(everyone ^ keep)
+        total = left + right
         if full > total + VALUE_TOL:
             return CheckResult(False, {
-                "agents": sorted(keep),
+                "agents": bits_of(keep),
                 "value": full,
                 "split_sum": total,
                 "left": left,
@@ -221,18 +230,11 @@ def check_xos_over_signals(
     n = len(s)
     if n > 10:
         raise CapabilityError(f"XOS-over-signals LP enumerates 2^{n} subsets; n <= 10 required")
-    bundle = frozenset(bundle)
-    full = eval_valuation(spec, bundle, s)
+    value = _masked_value(spec, frozenset(bundle), s)
+    full = value((1 << n) - 1)
 
-    vals = np.array([
-        float(eval_valuation(spec, bundle, mask_signals(s, set_of(mask))))
-        for mask in range(1 << n)
-    ])
-    member = np.zeros((n, 1 << n))
-    for mask in range(1 << n):
-        for i in range(n):
-            if mask >> i & 1:
-                member[i, mask] = 1.0
+    vals = np.array([float(value(mask)) for mask in range(1 << n)])
+    member = (np.arange(1 << n) >> np.arange(n)[:, None] & 1).astype(float)
 
     a_eq = np.ones((1, 1 << n))
     for p in grid:

@@ -4,8 +4,9 @@ These deliberately re-derive everything from the definitions by literal
 enumeration, sharing no code with the library paths they check, or keep
 the slower algorithm a fast path replaced (such as the padded square
 Hungarian behind ``ref_opt_matching_padded``, the all-layers subset DP
-behind ``ref_solve_from_tables`` and the point-by-point monotonicity
-loop behind ``ref_check_monotone``).  The tie-break notion matches the
+behind ``ref_solve_from_tables``, the point-by-point monotonicity
+loop behind ``ref_check_monotone`` and the per-order, priced-mechanism
+ratio loop behind ``ref_estimate_ratio``).  The tie-break notion matches the
 library contract: among exact-rational welfare maximizers, the
 lexicographically smallest assignment vector (items in ascending order,
 "unassigned" before agent ids ascending).
@@ -23,12 +24,29 @@ from typing import Callable
 
 import numpy as np
 
-from secalloc._util import set_of
-from secalloc.errors import ValidationError
-from secalloc.mechanism import MechanismOutcome
-from secalloc.offline import Allocation
+from secalloc._util import mask_of, set_of, trial_rng
+from secalloc.errors import CapabilityError, ValidationError
+from secalloc.harness import RatioStats
+from secalloc.mechanism import MechanismOutcome, _require_separable, run_mechanism
+from secalloc.offline import Allocation, opt_dispatch
+from secalloc.secretary import (
+    ArrivalOrder,
+    InstanceRuntime,
+    make_sample_then_greedy_blackbox,
+    make_sample_then_match_blackbox,
+    run_proxy_framework,
+    run_sample_then_greedy,
+    run_sample_then_match,
+    sample_size,
+)
 from secalloc.structure_checks import VALUE_TOL, CheckResult
-from secalloc.valuations import SignalProfile, ValuationSpec, eval_valuation, mask_signals
+from secalloc.valuations import (
+    SignalProfile,
+    ValuationSpec,
+    _UnitDemand,
+    eval_valuation,
+    mask_signals,
+)
 
 
 @dataclass(frozen=True)
@@ -444,3 +462,81 @@ def ref_check_monotone(spec, signals, *, num_items=None):
                         "value_sup": richer,
                     })
     return CheckResult(True)
+
+
+def _ref_make_order_source(inst, config):
+    if config.mode == "exact_orders":
+        if inst.n > 7:
+            raise CapabilityError(f"exact order enumeration needs n <= 7, got n={inst.n}")
+        return [ArrivalOrder(p) for p in itertools.permutations(range(inst.n))]
+    return None  # drawn lazily per trial
+
+
+def ref_estimate_ratio(inst, config) -> RatioStats:
+    """``estimate_ratio`` as it stood with the priced mechanism in its loop.
+
+    Every order re-picks its algorithm, and the mechanism row runs the
+    full :func:`run_mechanism` and scores its bundles.  The only edit is
+    the matching memo: a dict local to the call, where the runtime used
+    to own one.
+    """
+    unit_demand = all(isinstance(spec, _UnitDemand) for spec in inst.specs)
+    match = config.blackbox == "match" or (config.blackbox == "auto" and unit_demand)
+    if not unit_demand and (config.alg == "rei19" or config.alg == "framework" and match):
+        user = "rei19" if config.alg == "rei19" else "the match blackbox"
+        raise ValidationError(f"{user} needs unit-demand (or separable) valuations")
+    if config.alg == "mechanism":
+        _require_separable(inst)
+
+    runtime = InstanceRuntime(inst)
+    matchings: dict = {}
+    opt_true = opt_dispatch(
+        inst, range(inst.n), lambda i: inst.signals, table=runtime.true_table
+    ).value
+
+    if config.alg == "rei19":
+        weights = {i: runtime.true_weights(i) for i in range(inst.n)}
+
+    def welfare(order: ArrivalOrder):
+        if config.alg == "alg1":
+            k = config.k if config.k is not None else sample_size(inst.n, "n/e")
+            return run_sample_then_greedy(inst, order, k, runtime=runtime).welfare
+        if config.alg == "alg2":
+            k = config.k if config.k is not None else sample_size(inst.n, "n/2")
+            return run_sample_then_greedy(inst, order, k, runtime=runtime).welfare
+        if config.alg == "rei19":
+            k = config.k if config.k is not None else sample_size(inst.n, "n/e")
+            res = run_sample_then_match(weights, inst.m, order, k, cache=matchings)
+            return res.welfare
+        if config.alg == "framework":
+            make = make_sample_then_match_blackbox if match else make_sample_then_greedy_blackbox
+            return run_proxy_framework(inst, order, make(config.k), runtime=runtime).welfare
+        outcome = run_mechanism(inst, order, solver_cache=matchings)
+        return runtime.true_welfare({i: mask_of(b) for i, b in outcome.bundles.items()})
+
+    orders = _ref_make_order_source(inst, config)
+    if orders is None:
+        orders = (
+            ArrivalOrder.random(inst.n, trial_rng(config.seed, t))
+            for t in range(config.trials)
+        )
+
+    ratios = []
+    for order in orders:
+        alg_value = welfare(order)
+        # An all-zero optimum makes every allocation trivially optimal.
+        ratios.append(alg_value / opt_true if opt_true > 0 else 1.0)
+
+    mean = sum(ratios) / len(ratios)
+    as_float = np.array([float(r) for r in ratios])
+    std = float(as_float.std(ddof=1)) if len(ratios) > 1 else 0.0
+    se = std / math.sqrt(len(ratios))
+    return RatioStats(
+        mean=mean,
+        std_err=se,
+        ci95=1.96 * se,
+        min_ratio=float(as_float.min()),
+        max_ratio=float(as_float.max()),
+        trials=len(ratios),
+        opt_value=float(opt_true),
+    )

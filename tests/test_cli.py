@@ -89,6 +89,9 @@ def test_bad_counts_exit_one(tmp_path):
     out = run_cli("run", "--instance", str(inst_path), "--alg", "alg1", "--trials", "0")
     assert out.returncode == 1
     assert out.stderr.startswith("error:") and "trials" in out.stderr
+    out = run_cli("run", "--instance", str(inst_path), "--alg", "mechanism", "--k", "2")
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "k does not apply" in out.stderr
 
 
 def test_run_rejects_an_integer_beyond_the_float_range(tmp_path):

@@ -2,15 +2,26 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from reference_impls import ref_estimate_ratio
 
 from secalloc import (
+    ALGORITHMS,
     CapabilityError,
     ExperimentConfig,
     GeneratorParams,
+    Instance,
     RatioStats,
+    SeparableValuation,
+    SignalWeight,
+    UnitDemandValuation,
     ValidationError,
+    XOSValuation,
     check_subadditive_over_signals,
     check_xos_over_signals,
     estimate_ratio,
@@ -18,6 +29,10 @@ from secalloc import (
     generate_instance,
     instance_to_json,
 )
+
+# Deterministic and free of wall-clock checks, so tier-1 runs repeat exactly.
+DERANDOMIZED = settings(derandomize=True, deadline=None, database=None, max_examples=30,
+                        suppress_health_check=[HealthCheck.too_slow])
 
 
 def test_generator_is_deterministic():
@@ -90,6 +105,98 @@ def test_ratios_never_exceed_one():
         assert stats.max_ratio <= 1 + 1e-9
 
 
+UNIFORM = st.floats(0.0, 1.0, allow_nan=False)
+GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])  # ties and zeros
+
+
+@st.composite
+def ratio_cases(draw, alg, blackbox):
+    """(instance, config) on an instance that meets the algorithm's requirements."""
+    n = draw(st.integers(3, 6))
+    m = draw(st.integers(1, 3))
+    value = draw(st.sampled_from([UNIFORM, GRID]))
+
+    def weight(readers, capped=True):
+        coeffs = [draw(value) if r in readers else 0.0 for r in range(n)]
+        return SignalWeight(coeffs, draw(value), draw(st.one_of(st.none(), value)) if capped else None)
+
+    kinds = ["separable"]
+    if alg != "mechanism":
+        kinds.append("unit_demand")
+        if alg != "rei19" and blackbox != "match":
+            kinds.append("xos")
+    everyone = set(range(n))
+    specs = []
+    for i in range(n):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "separable":
+            specs.append(SeparableValuation(
+                i, [weight({i}, capped=False) for _ in range(m)],
+                [weight(everyone - {i}) for _ in range(m)],
+            ))
+        elif kind == "unit_demand":
+            specs.append(UnitDemandValuation(weight(everyone) for _ in range(m)))
+        else:
+            clauses = [{j: weight(everyone) for j in range(m)} for _ in range(draw(st.integers(1, 2)))]
+            specs.append(XOSValuation(clauses, num_items=m))
+    inst = Instance(specs, [draw(value) for _ in range(n)])
+    if draw(st.booleans()):
+        inst = inst.exact()
+
+    k = None
+    if alg != "mechanism" and draw(st.booleans()):
+        k = draw(st.integers(0, (n - n // 2 if alg == "framework" else n) - 1))
+    mode = draw(st.sampled_from(["monte_carlo", "exact_orders"]))
+    config = ExperimentConfig(alg, trials=draw(st.integers(1, 30)), seed=draw(st.integers(0, 9)),
+                              mode=mode, blackbox=blackbox, k=k)
+    return inst, config
+
+
+@pytest.mark.parametrize("alg, blackbox", [
+    ("alg1", "auto"), ("alg2", "auto"), ("rei19", "auto"), ("mechanism", "auto"),
+    ("framework", "auto"), ("framework", "match"), ("framework", "greedy"),
+])
+def test_estimate_ratio_equals_the_per_order_reference(alg, blackbox):
+    @DERANDOMIZED
+    @given(case=ratio_cases(alg, blackbox))
+    def check(case):
+        inst, config = case
+        assert repr(estimate_ratio(inst, config)) == repr(ref_estimate_ratio(inst, config))
+
+    check()
+
+
+def test_mechanism_row_needs_three_agents():
+    inst = generate_instance(GeneratorParams(2, 2, "separable_linear"), seed=0)
+    with pytest.raises(ValidationError, match="the mechanism needs n >= 3"):
+        estimate_ratio(inst, ExperimentConfig("mechanism", trials=5))
+
+
+def test_sample_size_is_checked_before_any_order():
+    inst = generate_instance(GeneratorParams(5, 3, "xos_capped"), seed=0)
+    for alg, blackbox, k, n in (("framework", "greedy", 100, 3), ("framework", "greedy", 3, 3),
+                                ("alg1", "auto", 5, 5), ("alg2", "auto", -1, 5)):
+        with pytest.raises(ValidationError, match=f"sample size k={k} must satisfy 0 <= k < n={n}"):
+            estimate_ratio(inst, ExperimentConfig(alg, trials=5, blackbox=blackbox, k=k))
+
+
+def test_an_optimum_beyond_the_float_range_is_a_validation_error():
+    huge = Fraction(10**400)
+    n = 3
+    specs = [
+        SeparableValuation(
+            i,
+            [SignalWeight([huge if r == i else 0 for r in range(n)])],
+            [SignalWeight([0] * n)],
+        )
+        for i in range(n)
+    ]
+    inst = Instance(specs, [Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]).exact()
+    for alg in ALGORITHMS:
+        with pytest.raises(ValidationError, match="opt_value"):
+            estimate_ratio(inst, ExperimentConfig(alg, trials=2))
+
+
 def test_rei19_needs_unit_demand():
     inst = generate_instance(GeneratorParams(4, 2, "xos_linear"), seed=1)
     with pytest.raises(ValidationError):
@@ -107,6 +214,9 @@ def test_experiment_config_validation():
         ExperimentConfig("framework", blackbox="bogus")
     with pytest.raises(ValidationError, match="blackbox"):
         ExperimentConfig("alg1", blackbox="bogus")
+    # The mechanism's two sample sizes are fixed by n.
+    with pytest.raises(ValidationError, match="k does not apply"):
+        ExperimentConfig("mechanism", k=2)
 
 
 def test_ratio_stats_invariants():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import secalloc.secretary
 from reference_impls import (
     assert_invariants,
     ref_run_sample_then_greedy,
@@ -24,6 +25,8 @@ from secalloc import (
     check_tail_harmonic_sum,
     eval_valuation,
     make_sample_then_greedy_blackbox,
+    make_sample_then_match_blackbox,
+    opt_matching,
     run_proxy_framework,
     run_sample_then_greedy,
     run_sample_then_match,
@@ -216,6 +219,32 @@ def test_framework_rejects_overlapping_blackbox_output():
 
     with pytest.raises(RuntimeError):
         run_proxy_framework(inst, ArrivalOrder.identity(4), greedy_overlap)
+
+
+def test_blackboxes_check_their_sample_size():
+    inst = generate_instance(GeneratorParams(4, 2, "separable_linear"), seed=0)
+    arrivals = [(a, inst.specs[a], inst.signals) for a in (1, 3)]
+    for make in (make_sample_then_greedy_blackbox, make_sample_then_match_blackbox):
+        with pytest.raises(ValidationError, match=r"sample size k=2 must satisfy 0 <= k < n=2"):
+            make(2)(arrivals, inst.m)
+
+
+def test_match_blackbox_answers_a_repeated_call_from_its_memo(monkeypatch):
+    inst = generate_instance(GeneratorParams(6, 3, "unit_demand_const"), seed=1)
+    arrivals = [(a, inst.specs[a], inst.signals) for a in (4, 0, 5, 2)]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return opt_matching(*args)
+
+    monkeypatch.setattr(secalloc.secretary, "opt_matching", counting)
+    blackbox = make_sample_then_match_blackbox(0)
+    first = blackbox(arrivals, inst.m)
+    assert calls
+    calls.clear()
+    assert blackbox(arrivals, inst.m) == first
+    assert calls == []
 
 
 def test_framework_needs_two_agents():

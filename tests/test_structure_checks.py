@@ -157,6 +157,22 @@ def test_exhaustive_monotone_check_evaluates_each_point_once():
     assert len(set(calls)) == len(calls)
 
 
+def test_signal_checkers_evaluate_each_masked_profile_once():
+    calls = []
+
+    def oracle(bundle, signals):
+        calls.append(tuple(signals))
+        return len(bundle) * sum(signals)
+
+    n = 4
+    s = SignalProfile([0.5, 1.0, 2.0, 0.25])
+    assert check_subadditive_over_signals(oracle, {0, 1}, s)
+    assert len(calls) == len(set(calls)) == 1 << n
+    calls.clear()
+    assert check_xos_over_signals(oracle, {0, 1}, s)
+    assert len(calls) == len(set(calls)) == 1 << n
+
+
 def test_monotone_rejects_a_profile_of_the_wrong_length():
     # The tables would silently ignore the extra signal.
     spec = UnitDemandValuation([SignalWeight([1.0, 1.0])])
