@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from ._util import trial_rng
 from .errors import CapabilityError, ValidationError
 from .harness import (
     ALGORITHMS,
@@ -28,8 +27,8 @@ from .harness import (
 from .instance_io import load_instance, save_instance
 from .mechanism import _require_separable, check_epic, check_random_sampling_bound
 from .secretary import (
-    ArrivalOrder,
     InstanceRuntime,
+    _trial_orders,
     check_tail_harmonic_sum,
     random_valid_tail_sequence,
     sample_size,
@@ -121,8 +120,7 @@ def _cmd_audit(args) -> int:
     _require_separable(inst)
     k_skip = inst.n // 2 + sample_size(inst.n, "n/2e")
     worst = 0.0
-    for trial in range(args.orders):
-        order = ArrivalOrder.random(inst.n, trial_rng(args.seed, trial))
+    for order in _trial_orders(args.seed, args.orders, inst.n):
         cache: dict = {}
         for pos in range(k_skip, inst.n):
             audit = check_epic(

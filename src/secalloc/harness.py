@@ -18,7 +18,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from ._util import trial_rng
 from .errors import CapabilityError, ValidationError
 from .mechanism import _require_separable
 from .offline import opt_dispatch
@@ -26,6 +25,7 @@ from .secretary import (
     ArrivalOrder,
     InstanceRuntime,
     _check_sample_size,
+    _trial_orders,
     make_sample_then_greedy_blackbox,
     make_sample_then_match_blackbox,
     run_proxy_framework,
@@ -242,7 +242,7 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
     if config.mode == "exact_orders":
         orders = [ArrivalOrder(p) for p in itertools.permutations(range(n))]
     else:
-        orders = (ArrivalOrder.random(n, trial_rng(config.seed, t)) for t in range(config.trials))
+        orders = _trial_orders(config.seed, config.trials, n)
 
     ratios = []
     for order in orders:

@@ -10,11 +10,12 @@ others-part for the fully-informed one; own-signal terms cancel, which
 is what makes truthful reporting a dominant choice once everyone else is
 truthful, for every fixed arrival order.
 
-The matching at each priced step is :func:`secalloc.secretary._memo_matching`
-on the proxy weights, the same memoized step rei19 runs on true weights;
-its memo is keyed by content, so ``solver_cache`` may be shared across
-orders and report profiles.  Utilities are always scored at the *true*
-signals, whatever was reported.
+Each run is the proxy framework's one engine pass with a match policy at
+floor(n/2e) that also prices; the match is
+:func:`secalloc.secretary._memo_matching` on the proxy weights, the same
+memoized step rei19 runs on true weights.  Its memo is keyed by content,
+so ``solver_cache`` may be shared across orders and report profiles.
+Utilities are always scored at the *true* signals, whatever was reported.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from ._util import bits_of, mask_of, set_of, trial_rng
+from ._util import bits_of, mask_of, set_of
 from .errors import CapabilityError, ValidationError
 from .offline import opt_dispatch
-from .secretary import _arrive, _check_order, _memo_matching, sample_size
+from .secretary import _check_order, _memo_matching, _proxy_steps, _trial_orders, sample_size
 from .valuations import (
     Instance,
     SeparableValuation,
@@ -118,38 +119,33 @@ def run_mechanism(
     memo = solver_cache if solver_cache is not None else {}
     k1 = n // 2
     k2 = sample_size(n, "n/2e")
-    sample = order.agents[:k1]
-    sample_set = frozenset(sample)
-    sample_mask = mask_of(sample)
-    all_agents = frozenset(range(n))
-
-    # Proxy weight vectors: own report plus the first sample's reports.
-    w_vec = {
-        agent: inst.specs[agent].item_weights(mask_signals(reports, sample_set | {agent}))
-        for agent in order.agents[k1:]
-    }
-
-    sample_reports = mask_signals(reports, sample_set).values
+    sample_reports = mask_signals(reports, order.agents[:k1]).values
     # MechStep fields (opt_prev, opt_minus, g_full, g_sample, price) per priced agent.
     priced: dict[int, tuple] = {}
 
-    def price_step(agent: int, amask: int, avail: int) -> int:
-        cur = amask & ~sample_mask
-        alloc = _memo_matching(memo, bits_of(cur), w_vec, avail)
-        prev = _memo_matching(memo, bits_of(cur & ~(1 << agent)), w_vec, avail)
-        bundle = alloc.bundle_of(agent)
-        opt_minus = alloc.value - alloc.per_agent_value.get(agent, 0)
-        spec = inst.specs[agent]
-        g_full = spec.others_value(bundle, mask_signals(reports, all_agents - {agent}).values)
-        g_sample = spec.others_value(bundle, sample_reports)
-        formula = prev.value - opt_minus + g_full - g_sample
-        priced[agent] = (prev.value, opt_minus, g_full, g_sample, formula if bundle else 0.0)
-        return mask_of(bundle)
+    def priced_match(arrivals, num_items):  # the match blackbox at k2, writing prices
+        w_vec = {agent: spec.item_weights(sigs) for agent, spec, sigs in arrivals}
+
+        def price_step(agent: int, cur: int, avail: int) -> int:
+            alloc = _memo_matching(memo, bits_of(cur), w_vec, avail)
+            prev = _memo_matching(memo, bits_of(cur & ~(1 << agent)), w_vec, avail)
+            bundle = alloc.bundle_of(agent)
+            opt_minus = alloc.value - alloc.per_agent_value.get(agent, 0)
+            spec = inst.specs[agent]
+            others = [i for i in range(n) if i != agent]
+            g_full = spec.others_value(bundle, mask_signals(reports, others).values)
+            g_sample = spec.others_value(bundle, sample_reports)
+            formula = prev.value - opt_minus + g_full - g_sample
+            priced[agent] = (prev.value, opt_minus, g_full, g_sample, formula if bundle else 0.0)
+            return mask_of(bundle)
+
+        return k2, price_step
 
     trace = []
     bundles: dict[int, frozenset] = {}
     payments: dict[int, object] = {i: 0.0 for i in range(n)}
-    for t, agent, avail, taken in _arrive(order, inst.m, k1 + k2, price_step):
+    steps = _proxy_steps(inst.specs, reports, order.agents, inst.m, priced_match)
+    for t, agent, avail, taken in steps:
         fields = priced.get(agent, ())
         if taken:
             bundles[agent] = set_of(taken)
@@ -291,10 +287,7 @@ def check_random_sampling_bound(
         lhs = total / len(subsets)
         return SamplingBoundCheck(lhs, rhs, lhs >= rhs - tol, len(subsets))
     if mode == "monte_carlo":
-        vals = []
-        for trial in range(trials):
-            perm = trial_rng(seed, trial).permutation(n)
-            vals.append(proxy_opt(tuple(int(a) for a in perm[:k1])))
+        vals = [proxy_opt(order.agents[:k1]) for order in _trial_orders(seed, trials, n)]
         lhs = sum(vals) / trials
         return SamplingBoundCheck(lhs, rhs, lhs >= rhs - tol, trials)
     raise ValidationError(f"unknown mode {mode!r}")

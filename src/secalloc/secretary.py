@@ -23,15 +23,17 @@ only in their policy:
   shared across orders, reports and weight maps.
 * :func:`run_proxy_framework` lifts any classical online algorithm to the
   interdependent setting by spending the first half of the agents purely
-  on signal information and running the algorithm on the residual agents
-  with frozen proxy valuations.
+  on signal information and running the algorithm's policy on the
+  residual agents with frozen proxy valuations, in the same pass.
 
 A blackbox for the framework is called as ``blackbox(arrivals,
 num_items)``.  ``arrivals`` lists ``(agent, spec, signals)`` in arrival
 order: the agent's valuation and her frozen proxy profile (the sample's
-signals and her own, all others zero).  It returns ``{agent: frozenset of
-items}``.  The survival probabilities and the truthful mechanism
-(:mod:`secalloc.mechanism`) run on the same engine.
+signals and her own, all others zero).  It returns ``(k, decide)``: its
+own sample size over those agents and its policy, whose arrived mask
+holds only them.  The survival probabilities and the truthful mechanism
+(:mod:`secalloc.mechanism`, the framework with a pricing match policy)
+run on the same engine.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ._util import bits_of, mask_of, set_of, trial_rng
 from .errors import CapabilityError, ValidationError
-from .offline import opt_matching, solve_from_tables
+from .offline import opt_dispatch, opt_matching, solve_from_tables
 from .valuations import Instance, _UnitDemand, _unchecked, bundle_value_table, mask_signals
 
 __all__ = [
@@ -205,6 +207,19 @@ def _check_sample_size(k: int, n: int) -> None:
         raise ValidationError(f"sample size k={k} must satisfy 0 <= k < n={n}")
 
 
+def _sample_k(k: Optional[int], n: int) -> int:
+    """A secretary's sample size: floor(n/e) unless given, checked."""
+    k = sample_size(n, "n/e") if k is None else k
+    _check_sample_size(k, n)
+    return k
+
+
+def _trial_orders(seed: int, trials: int, n: int) -> Iterator[ArrivalOrder]:
+    """The Monte Carlo order stream: trial t's order is drawn from ``trial_rng(seed, t)``."""
+    for t in range(trials):
+        yield ArrivalOrder.random(n, trial_rng(seed, t))
+
+
 class InstanceRuntime:
     """Per-instance caches shared across many runs (orders) of one instance.
 
@@ -234,7 +249,7 @@ class InstanceRuntime:
         return self._true_weights[agent]
 
     def step_opt(self, amask: int):
-        """Optimal allocation of all items to the arrived agents.
+        """Optimal allocation of all items to the arrived agents, by :func:`opt_dispatch`.
 
         Weights are each agent's valuation with unseen signals masked to
         zero.  Returns (Allocation, per-agent bundle bitmasks).
@@ -242,13 +257,10 @@ class InstanceRuntime:
         hit = self._step_opt.get(amask)
         if hit is None:
             agents = bits_of(amask)
-            if amask == (1 << self.inst.n) - 1:
-                # Nothing is masked: these are the true tables.
-                tables = [self.true_table(i) for i in agents]
-            else:
-                masked = mask_signals(self.inst.signals, agents)
-                tables = [bundle_value_table(self.inst.specs[i], masked) for i in agents]
-            alloc = solve_from_tables(agents, tables, range(self.inst.m))
+            masked = mask_signals(self.inst.signals, agents)
+            # Once every agent has arrived nothing is masked: the true tables serve.
+            table = self.true_table if amask == (1 << self.inst.n) - 1 else None
+            alloc = opt_dispatch(self.inst, agents, lambda i: masked, table=table)
             masks = {i: mask_of(b) for i, b in alloc.bundles.items()}
             hit = (alloc, masks)
             self._step_opt[amask] = hit
@@ -293,6 +305,17 @@ def run_sample_then_greedy(
     return _run_result(_arrive(order, inst.m, k, rt.greedy_step), rt.true_welfare)
 
 
+def _match_step(memo: dict, weights: Mapping[int, tuple]) -> Callable[[int, int, int], int]:
+    """The matching secretary's policy: the agent's item in a memoized step matching."""
+
+    def match_step(agent: int, amask: int, avail: int) -> int:
+        if not avail:
+            return 0
+        return mask_of(_memo_matching(memo, bits_of(amask), weights, avail).bundle_of(agent))
+
+    return match_step
+
+
 def run_sample_then_match(
     weights: Mapping[int, Sequence],
     num_items: int,
@@ -313,30 +336,23 @@ def run_sample_then_match(
     n = len(order)
     if n == 0:
         raise ValidationError("empty arrival order")
-    if k is None:
-        k = sample_size(n, "n/e")
-    _check_sample_size(k, n)
+    k = _sample_k(k, n)
     memo = cache if cache is not None else {}
     weights = {a: tuple(ws) for a, ws in weights.items()}
-
-    def match_step(agent: int, amask: int, avail: int) -> int:
-        if not avail:
-            return 0
-        return mask_of(_memo_matching(memo, bits_of(amask), weights, avail).bundle_of(agent))
 
     def matched_weight(taken_by: dict) -> object:
         return sum(weights[i][bm.bit_length() - 1] for i, bm in taken_by.items())
 
-    return _run_result(_arrive(order, num_items, k, match_step), matched_weight)
+    return _run_result(_arrive(order, num_items, k, _match_step(memo, weights)), matched_weight)
 
 
-Blackbox = Callable[[Sequence, int], Mapping[int, frozenset]]
+Blackbox = Callable[[Sequence, int], tuple]
 
 
 def make_sample_then_greedy_blackbox(k: Optional[int] = None) -> Blackbox:
-    """Classical sample-then-greedy over all items, on frozen bundle tables."""
+    """Classical sample-then-greedy over all items, on frozen bundle tables, as a policy."""
 
-    def run(arrivals, num_items):
+    def start(arrivals, num_items):
         tables = {agent: bundle_value_table(spec, sigs) for agent, spec, sigs in arrivals}
 
         def greedy_step(agent: int, amask: int, avail: int) -> int:
@@ -344,23 +360,16 @@ def make_sample_then_greedy_blackbox(k: Optional[int] = None) -> Blackbox:
             alloc = solve_from_tables(agents, [tables[a] for a in agents], range(num_items))
             return mask_of(alloc.bundle_of(agent)) & avail
 
-        kk = sample_size(len(arrivals), "n/e") if k is None else k
-        _check_sample_size(kk, len(arrivals))
-        order = [agent for agent, *_ in arrivals]
-        steps = _arrive(order, num_items, kk, greedy_step)
-        return {agent: set_of(taken) for _, agent, _, taken in steps if taken}
+        return _sample_k(k, len(arrivals)), greedy_step
 
-    return run
+    return start
 
 
 def make_sample_then_match_blackbox(k: Optional[int] = None) -> Blackbox:
-    """Classical secretary matching on frozen item weights; agents must be unit-demand.
-
-    Every call shares one content-keyed :func:`_memo_matching` memo; only bundles leave it.
-    """
+    """Secretary matching on frozen unit-demand item weights; one memo serves every call."""
     memo: dict = {}
 
-    def run(arrivals, num_items):
+    def start(arrivals, num_items):
         weights = {}
         for agent, spec, sigs in arrivals:
             if not isinstance(spec, _UnitDemand):
@@ -368,10 +377,28 @@ def make_sample_then_match_blackbox(k: Optional[int] = None) -> Blackbox:
                     f"the match blackbox needs unit-demand agents; agent {agent} is not"
                 )
             weights[agent] = spec.item_weights(sigs)
-        order = ArrivalOrder(agent for agent, *_ in arrivals)
-        return dict(run_sample_then_match(weights, num_items, order, k, cache=memo).bundles)
+        return _sample_k(k, len(arrivals)), _match_step(memo, weights)
 
-    return run
+    return start
+
+
+def _proxy_steps(specs, signals, order: tuple, num_items: int, blackbox: Blackbox):
+    """The proxy framework's one engine pass: floor(n/2) signal-sample agents,
+    then the blackbox's sample k and its policy on the residual agents."""
+    k1 = len(order) // 2
+    sample = order[:k1]
+    sample_mask = mask_of(sample)
+    arrivals = [(a, specs[a], mask_signals(signals, sample + (a,))) for a in order[k1:]]
+    k, decide = blackbox(arrivals, num_items)
+    _check_sample_size(k, len(arrivals))
+
+    def step(agent: int, amask: int, avail: int) -> int:
+        taken = decide(agent, amask & ~sample_mask, avail)
+        if taken & ~avail:
+            raise RuntimeError(f"blackbox gave agent {agent} an unavailable item")
+        return taken
+
+    return _arrive(order, num_items, k1 + k, step)
 
 
 def run_proxy_framework(
@@ -385,37 +412,16 @@ def run_proxy_framework(
 
     The first floor(n/2) agents are skipped and only their signals are
     kept.  Each remaining agent's valuation is frozen at (sample signals
-    + her own), which removes interdependence, and the blackbox plays
-    the residual instance over all items.  Welfare is still scored at
-    the full true profile.
+    + her own), which removes interdependence, and the blackbox's policy
+    plays the residual agents over all items in the same engine pass.
+    Welfare is still scored at the full true profile.
     """
     order = _check_order(order, inst.n)
     if inst.n < 2:
         raise ValidationError("the proxy framework needs at least 2 agents")
     rt = runtime if runtime is not None else InstanceRuntime(inst)
-    k1 = inst.n // 2
-    sample = order.agents[:k1]
-    residual = order.agents[k1:]
-    raw = blackbox(
-        [(a, inst.specs[a], mask_signals(inst.signals, sample + (a,))) for a in residual], inst.m
-    )
-
-    given: dict[int, int] = {}
-    for agent, bundle in raw.items():
-        if agent not in residual:
-            raise RuntimeError(f"blackbox allocated to non-residual agent {agent}")
-        bm = mask_of(bundle)
-        if bm & ~((1 << inst.m) - 1):
-            raise RuntimeError(f"blackbox allocated unknown items to agent {agent}")
-        given[agent] = bm
-
-    def replay(agent: int, amask: int, avail: int) -> int:
-        taken = given.get(agent, 0)
-        if taken & ~avail:
-            raise RuntimeError(f"blackbox gave agent {agent} an unavailable item")
-        return taken
-
-    return _run_result(_arrive(order, inst.m, k1, replay), rt.true_welfare)
+    steps = _proxy_steps(inst.specs, inst.signals, order.agents, inst.m, blackbox)
+    return _run_result(steps, rt.true_welfare)
 
 
 def survival_probability(
@@ -443,6 +449,7 @@ def survival_probability(
         raise ValidationError(f"step {step} out of range for n={inst.n}")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
+    _check_sample_size(k, inst.n)
     rt = runtime if runtime is not None else InstanceRuntime(inst)
 
     def survives(order_seq) -> bool:
@@ -456,11 +463,7 @@ def survival_probability(
         count = sum(1 for prefix in itertools.permutations(range(inst.n), step) if survives(prefix))
         return Fraction(count * math.factorial(inst.n - step), math.factorial(inst.n))
     if mode == "monte_carlo":
-        count = 0
-        for trial in range(trials):
-            order = trial_rng(seed, trial).permutation(inst.n)
-            if survives([int(a) for a in order]):
-                count += 1
+        count = sum(1 for order in _trial_orders(seed, trials, inst.n) if survives(order))
         return count / trials
     raise ValidationError(f"unknown mode {mode!r}")
 

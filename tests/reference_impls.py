@@ -6,7 +6,10 @@ the slower algorithm a fast path replaced (such as the padded square
 Hungarian behind ``ref_opt_matching_padded``, the all-layers subset DP
 behind ``ref_solve_from_tables``, the point-by-point monotonicity
 loop behind ``ref_check_monotone`` and the per-order, priced-mechanism
-ratio loop behind ``ref_estimate_ratio``).  The tie-break notion matches the
+ratio loop behind ``ref_estimate_ratio``), or keep the earlier code of a
+path that was restructured, verbatim (the two-pass proxy framework, its
+whole-allocation blackboxes, the mechanism's own sample split and the
+table-only step optimum).  The tie-break notion matches the
 library contract: among exact-rational welfare maximizers, the
 lexicographically smallest assignment vector (items in ascending order,
 "unassigned" before agent ids ascending).
@@ -20,18 +23,24 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
-from secalloc._util import mask_of, set_of, trial_rng
+from secalloc._util import bits_of, mask_of, set_of, trial_rng
 from secalloc.errors import CapabilityError, ValidationError
 from secalloc.harness import RatioStats
-from secalloc.mechanism import MechanismOutcome, _require_separable, run_mechanism
-from secalloc.offline import Allocation, opt_dispatch
+from secalloc.mechanism import MechanismOutcome, MechStep, _require_separable, run_mechanism
+from secalloc.offline import Allocation, opt_dispatch, solve_from_tables
 from secalloc.secretary import (
     ArrivalOrder,
     InstanceRuntime,
+    RunResult,
+    _arrive,
+    _check_order,
+    _check_sample_size,
+    _memo_matching,
+    _run_result,
     make_sample_then_greedy_blackbox,
     make_sample_then_match_blackbox,
     run_proxy_framework,
@@ -41,9 +50,11 @@ from secalloc.secretary import (
 )
 from secalloc.structure_checks import VALUE_TOL, CheckResult
 from secalloc.valuations import (
+    Instance,
     SignalProfile,
     ValuationSpec,
     _UnitDemand,
+    bundle_value_table,
     eval_valuation,
     mask_signals,
 )
@@ -540,3 +551,195 @@ def ref_estimate_ratio(inst, config) -> RatioStats:
         trials=len(ratios),
         opt_value=float(opt_true),
     )
+
+
+# --- the proxy framework, its blackboxes and the mechanism, before each ran
+# in one engine pass: a blackbox returned a whole allocation, which the
+# framework replayed; the mechanism split off its own sample.  Verbatim
+# apart from the names and the blackbox type.
+
+def ref_make_sample_then_greedy_blackbox(k: Optional[int] = None) -> Callable:
+    """Classical sample-then-greedy over all items, on frozen bundle tables."""
+
+    def run(arrivals, num_items):
+        tables = {agent: bundle_value_table(spec, sigs) for agent, spec, sigs in arrivals}
+
+        def greedy_step(agent: int, amask: int, avail: int) -> int:
+            agents = bits_of(amask)
+            alloc = solve_from_tables(agents, [tables[a] for a in agents], range(num_items))
+            return mask_of(alloc.bundle_of(agent)) & avail
+
+        kk = sample_size(len(arrivals), "n/e") if k is None else k
+        _check_sample_size(kk, len(arrivals))
+        order = [agent for agent, *_ in arrivals]
+        steps = _arrive(order, num_items, kk, greedy_step)
+        return {agent: set_of(taken) for _, agent, _, taken in steps if taken}
+
+    return run
+
+
+def ref_make_sample_then_match_blackbox(k: Optional[int] = None) -> Callable:
+    """Classical secretary matching on frozen item weights; agents must be unit-demand.
+
+    Every call shares one content-keyed :func:`_memo_matching` memo; only bundles leave it.
+    """
+    memo: dict = {}
+
+    def run(arrivals, num_items):
+        weights = {}
+        for agent, spec, sigs in arrivals:
+            if not isinstance(spec, _UnitDemand):
+                raise ValidationError(
+                    f"the match blackbox needs unit-demand agents; agent {agent} is not"
+                )
+            weights[agent] = spec.item_weights(sigs)
+        order = ArrivalOrder(agent for agent, *_ in arrivals)
+        return dict(run_sample_then_match(weights, num_items, order, k, cache=memo).bundles)
+
+    return run
+
+
+def ref_run_proxy_framework(
+    inst: Instance,
+    order,
+    blackbox: Callable,
+    *,
+    runtime: Optional[InstanceRuntime] = None,
+) -> RunResult:
+    """Half the agents buy signal information; a classical algorithm runs on the rest.
+
+    The first floor(n/2) agents are skipped and only their signals are
+    kept.  Each remaining agent's valuation is frozen at (sample signals
+    + her own), which removes interdependence, and the blackbox plays
+    the residual instance over all items.  Welfare is still scored at
+    the full true profile.
+    """
+    order = _check_order(order, inst.n)
+    if inst.n < 2:
+        raise ValidationError("the proxy framework needs at least 2 agents")
+    rt = runtime if runtime is not None else InstanceRuntime(inst)
+    k1 = inst.n // 2
+    sample = order.agents[:k1]
+    residual = order.agents[k1:]
+    raw = blackbox(
+        [(a, inst.specs[a], mask_signals(inst.signals, sample + (a,))) for a in residual], inst.m
+    )
+
+    given: dict[int, int] = {}
+    for agent, bundle in raw.items():
+        if agent not in residual:
+            raise RuntimeError(f"blackbox allocated to non-residual agent {agent}")
+        bm = mask_of(bundle)
+        if bm & ~((1 << inst.m) - 1):
+            raise RuntimeError(f"blackbox allocated unknown items to agent {agent}")
+        given[agent] = bm
+
+    def replay(agent: int, amask: int, avail: int) -> int:
+        taken = given.get(agent, 0)
+        if taken & ~avail:
+            raise RuntimeError(f"blackbox gave agent {agent} an unavailable item")
+        return taken
+
+    return _run_result(_arrive(order, inst.m, k1, replay), rt.true_welfare)
+
+
+def ref_run_mechanism(
+    inst: Instance,
+    order,
+    reports=None,
+    *,
+    solver_cache: Optional[dict] = None,
+) -> MechanismOutcome:
+    """Run the truthful matching mechanism under the given reports.
+
+    ``reports`` defaults to the true signals.  Payments follow
+    p_t = OPT(prev agents; J^t) - OPT_others(cur agents; J^t)
+          + g(bundle, all reports but own) - g(bundle, sample reports),
+    finalized once all reports are known; agents with empty bundles pay
+    exactly 0 (the formula evaluates to 0 there as well).  Matchings are
+    memoized in ``solver_cache`` (see :func:`secalloc.secretary._memo_matching`).
+    """
+    _require_separable(inst)
+    n = inst.n
+    if n < 3:
+        raise ValidationError("the mechanism needs n >= 3")
+    order = _check_order(order, n)
+    if reports is None:
+        reports = inst.signals
+    elif not isinstance(reports, SignalProfile):
+        reports = SignalProfile(reports)
+    if len(reports) != n:
+        raise ValidationError(f"{len(reports)} reports for {n} agents")
+
+    memo = solver_cache if solver_cache is not None else {}
+    k1 = n // 2
+    k2 = sample_size(n, "n/2e")
+    sample = order.agents[:k1]
+    sample_set = frozenset(sample)
+    sample_mask = mask_of(sample)
+    all_agents = frozenset(range(n))
+
+    # Proxy weight vectors: own report plus the first sample's reports.
+    w_vec = {
+        agent: inst.specs[agent].item_weights(mask_signals(reports, sample_set | {agent}))
+        for agent in order.agents[k1:]
+    }
+
+    sample_reports = mask_signals(reports, sample_set).values
+    # MechStep fields (opt_prev, opt_minus, g_full, g_sample, price) per priced agent.
+    priced: dict[int, tuple] = {}
+
+    def price_step(agent: int, amask: int, avail: int) -> int:
+        cur = amask & ~sample_mask
+        alloc = _memo_matching(memo, bits_of(cur), w_vec, avail)
+        prev = _memo_matching(memo, bits_of(cur & ~(1 << agent)), w_vec, avail)
+        bundle = alloc.bundle_of(agent)
+        opt_minus = alloc.value - alloc.per_agent_value.get(agent, 0)
+        spec = inst.specs[agent]
+        g_full = spec.others_value(bundle, mask_signals(reports, all_agents - {agent}).values)
+        g_sample = spec.others_value(bundle, sample_reports)
+        formula = prev.value - opt_minus + g_full - g_sample
+        priced[agent] = (prev.value, opt_minus, g_full, g_sample, formula if bundle else 0.0)
+        return mask_of(bundle)
+
+    trace = []
+    bundles: dict[int, frozenset] = {}
+    payments: dict[int, object] = {i: 0.0 for i in range(n)}
+    for t, agent, avail, taken in _arrive(order, inst.m, k1 + k2, price_step):
+        fields = priced.get(agent, ())
+        if taken:
+            bundles[agent] = set_of(taken)
+            payments[agent] = fields[-1]
+        trace.append(MechStep(t, agent, set_of(avail), set_of(taken), *fields))
+
+    true_sigs = inst.signals.values
+    utilities = {
+        i: inst.specs[i].value(bundles.get(i, frozenset()), true_sigs) - payments[i]
+        for i in range(n)
+    }
+    return MechanismOutcome(bundles, payments, utilities, tuple(trace), k1, k2)
+
+
+class RefStepOptRuntime(InstanceRuntime):
+    """An ``InstanceRuntime`` whose step optimum is always the subset DP on bundle tables."""
+
+    def step_opt(self, amask: int):
+        """Optimal allocation of all items to the arrived agents.
+
+        Weights are each agent's valuation with unseen signals masked to
+        zero.  Returns (Allocation, per-agent bundle bitmasks).
+        """
+        hit = self._step_opt.get(amask)
+        if hit is None:
+            agents = bits_of(amask)
+            if amask == (1 << self.inst.n) - 1:
+                # Nothing is masked: these are the true tables.
+                tables = [self.true_table(i) for i in agents]
+            else:
+                masked = mask_signals(self.inst.signals, agents)
+                tables = [bundle_value_table(self.inst.specs[i], masked) for i in agents]
+            alloc = solve_from_tables(agents, tables, range(self.inst.m))
+            masks = {i: mask_of(b) for i, b in alloc.bundles.items()}
+            hit = (alloc, masks)
+            self._step_opt[amask] = hit
+        return hit

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference_impls import WeightOracle, assert_invariants
+from reference_impls import RefStepOptRuntime, WeightOracle, assert_invariants
 
 import secalloc.offline
 import secalloc.secretary
@@ -84,8 +84,8 @@ def test_subset_dp_budget_is_checked_and_passed_through():
 # --- the polynomial path ---------------------------------------------------
 
 @pytest.mark.parametrize("family, algs", [
-    ("unit_demand_const", ("rei19", "framework")),
-    ("separable_capped", ("rei19", "mechanism", "framework")),
+    ("unit_demand_const", ("alg1", "alg2", "rei19", "framework")),
+    ("separable_capped", ("alg1", "alg2", "rei19", "mechanism", "framework")),
 ])
 def test_unit_demand_ratio_needs_no_bundle_tables(family, algs, monkeypatch):
     built = []
@@ -102,6 +102,13 @@ def test_unit_demand_ratio_needs_no_bundle_tables(family, algs, monkeypatch):
             stats = estimate_ratio(inst, ExperimentConfig(alg, trials=5, seed=2, blackbox=blackbox))
             assert stats.trials == 5 and stats.opt_value > 0
     assert built == []
+
+
+def test_greedy_ratio_on_unit_demand_runs_past_the_table_budget():
+    # Step optima of unit-demand agents are matchings: no 2^20-entry tables.
+    inst = generate_instance(GeneratorParams(4, 20, "unit_demand_const"), 1)
+    stats = estimate_ratio(inst, ExperimentConfig("alg1", trials=5))
+    assert stats.trials == 5 and 0 < stats.mean <= 1
 
 
 def test_runtime_builds_tables_only_on_use(monkeypatch):
@@ -209,6 +216,33 @@ def test_dispatcher_equals_subset_dp(inst, data):
     assert dict(got.bundles) == dict(want.bundles)
     assert repr(sorted(got.per_agent_value.items())) == repr(sorted(want.per_agent_value.items()))
     assert got == want
+
+
+@st.composite
+def mixed_instances(draw):
+    """Unit-demand, separable and XOS agents side by side, float or Fraction."""
+    base = draw(unit_demand_instances())
+    n, m = base.n, base.m
+    xos = generate_instance(GeneratorParams(n, m, "xos_capped"), draw(st.integers(0, 9)))
+    specs = [xos.specs[i] if draw(st.booleans()) else spec for i, spec in enumerate(base.specs)]
+    inst = Instance(specs, base.signals.values)
+    return inst.exact() if isinstance(base.signals.values[0], Fraction) else inst
+
+
+def canonical(hit):
+    alloc, masks = hit
+    return (repr(sorted(alloc.bundles.items())), repr(sorted(alloc.per_agent_value.items())),
+            repr(alloc.value), sorted(masks.items()))
+
+
+@DERANDOMIZED
+@given(inst=st.one_of(unit_demand_instances(), mixed_instances()))
+def test_step_opt_through_the_dispatcher_equals_the_table_dp(inst):
+    runtime, reference = InstanceRuntime(inst), RefStepOptRuntime(inst)
+    for amask in range(1, 1 << inst.n):
+        got, want = runtime.step_opt(amask), reference.step_opt(amask)
+        assert_invariants(got[0])
+        assert got == want and canonical(got) == canonical(want)
 
 
 def reference_stats(inst, config) -> RatioStats:

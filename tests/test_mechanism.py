@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference_impls import assert_invariants
+from reference_impls import assert_invariants, ref_run_mechanism
 
 from secalloc import (
     ArrivalOrder,
@@ -21,7 +21,7 @@ from secalloc import (
     run_mechanism,
     run_proxy_framework,
 )
-from secalloc.valuations import Instance, SeparableValuation
+from secalloc.valuations import Instance, SeparableValuation, SignalProfile
 from secalloc.harness import GeneratorParams, generate_instance
 
 
@@ -327,3 +327,57 @@ def test_shared_solver_cache_equals_fresh_cache(data):
             shared = run_mechanism(inst, order, reports, solver_cache=cache)
             assert_invariants(shared)
             assert repr(shared) == repr(run_mechanism(inst, order, reports))
+
+
+# --- the mechanism against its own-sample-split reference --------------------
+
+UNIFORM = st.floats(0.0, 1.0, allow_nan=False)
+GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])  # ties and zeros
+
+
+@st.composite
+def mechanism_cases(draw):
+    """(instance, orders, report profiles): float, 0.25-grid or Fraction values.
+
+    m often falls short of the residual agents, so some priced steps find
+    no item left and must still look both matchings up.
+    """
+    n = draw(st.integers(3, 8))
+    m = draw(st.integers(1, 4))
+    value = draw(st.sampled_from([UNIFORM, GRID]))
+
+    def weight(readers, capped):
+        coeffs = [draw(value) if r in readers else 0.0 for r in range(n)]
+        return SignalWeight(coeffs, draw(value), draw(st.one_of(st.none(), value)) if capped else None)
+
+    specs = [
+        SeparableValuation(i, [weight({i}, False) for _ in range(m)],
+                           [weight(set(range(n)) - {i}, True) for _ in range(m)])
+        for i in range(n)
+    ]
+    inst = Instance(specs, [draw(value) for _ in range(n)])
+    if draw(st.booleans()):
+        inst = inst.exact()
+    orders = [ArrivalOrder(o) for o in draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))]
+    reports = [None]
+    for _ in range(draw(st.integers(0, 2))):
+        values = list(inst.signals.values)
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=1)):
+            values[i] = type(values[i])(draw(value))
+        reports.append(SignalProfile(values))
+    return inst, orders, reports
+
+
+@DERANDOMIZED
+@given(case=mechanism_cases())
+def test_mechanism_equals_its_own_split_reference(case):
+    inst, orders, reports = case
+    shared, ref_shared = {}, {}
+    for order in orders:
+        for rep in reports:
+            want = repr(ref_run_mechanism(inst, order, rep, solver_cache=ref_shared))
+            for cache in (shared, {}):
+                got = run_mechanism(inst, order, rep, solver_cache=cache)
+                assert_invariants(got)
+                assert repr(got) == want
+

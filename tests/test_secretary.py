@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 import secalloc.secretary
 from reference_impls import (
     assert_invariants,
+    ref_make_sample_then_greedy_blackbox,
+    ref_make_sample_then_match_blackbox,
+    ref_run_proxy_framework,
     ref_run_sample_then_greedy,
     ref_run_sample_then_match,
 )
@@ -19,7 +22,9 @@ from reference_impls import (
 from secalloc import (
     ArrivalOrder,
     CapabilityError,
+    SeparableValuation,
     SignalWeight,
+    UnitDemandValuation,
     ValidationError,
     XOSValuation,
     check_tail_harmonic_sum,
@@ -33,7 +38,8 @@ from secalloc import (
     sample_size,
     survival_probability,
 )
-from secalloc.secretary import InstanceRuntime, random_valid_tail_sequence
+from secalloc._util import bits_of
+from secalloc.secretary import InstanceRuntime, _arrive, random_valid_tail_sequence
 from secalloc.valuations import Instance
 from secalloc.harness import GeneratorParams, generate_instance
 
@@ -172,9 +178,21 @@ def test_sample_then_match_default_sample_size():
     assert all(rec.bundle == frozenset() for rec in sampled)
 
 
+def nothing_blackbox(arrivals, num_items):
+    """Sample no one, then let every agent take nothing."""
+    return 0, lambda agent, arrived, avail: 0
+
+
+def play(blackbox, arrivals, num_items):
+    """Drive a blackbox's policy over its own arrivals: {agent: taken item mask}."""
+    k, decide = blackbox(arrivals, num_items)
+    order = [agent for agent, *_ in arrivals]
+    return {agent: taken for _, agent, _, taken in _arrive(order, num_items, k, decide) if taken}
+
+
 def test_framework_with_nothing_blackbox():
     inst = generate_instance(GeneratorParams(4, 3, "xos_linear"), seed=1)
-    res = run_proxy_framework(inst, ArrivalOrder.identity(4), lambda arrivals, m: {})
+    res = run_proxy_framework(inst, ArrivalOrder.identity(4), nothing_blackbox)
     assert res.welfare == 0 and res.bundles == {}
 
 
@@ -215,10 +233,45 @@ def test_framework_rejects_overlapping_blackbox_output():
     inst = generate_instance(GeneratorParams(4, 2, "xos_linear"), seed=2)
 
     def greedy_overlap(arrivals, m):
-        return {agent: frozenset({0}) for agent, *_ in arrivals}
+        # Every residual agent takes item 0, the second after it is gone.
+        return 0, lambda agent, arrived, avail: 1
 
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="blackbox gave agent 3 an unavailable item"):
         run_proxy_framework(inst, ArrivalOrder.identity(4), greedy_overlap)
+
+
+def test_framework_rejects_a_policy_taking_an_unknown_item():
+    inst = generate_instance(GeneratorParams(5, 2, "xos_linear"), seed=2)
+
+    def beyond_the_items(arrivals, m):
+        return 1, lambda agent, arrived, avail: 1 << m
+
+    with pytest.raises(RuntimeError, match="blackbox gave agent 1 an unavailable item"):
+        run_proxy_framework(inst, ArrivalOrder([4, 0, 3, 1, 2]), beyond_the_items)
+
+
+def test_framework_checks_the_blackbox_sample_size():
+    # A negative k would hand signal-sample agents to the policy.
+    inst = generate_instance(GeneratorParams(5, 2, "xos_linear"), seed=2)
+    for k in (-1, 3):
+        with pytest.raises(ValidationError, match=rf"sample size k={k} must satisfy 0 <= k < n=3"):
+            run_proxy_framework(inst, ArrivalOrder.identity(5), lambda arrivals, m: (k, None))
+
+
+def test_framework_asks_the_policy_about_residual_agents_only():
+    inst = generate_instance(GeneratorParams(7, 2, "xos_linear"), seed=2)
+    order = ArrivalOrder([6, 2, 0, 5, 1, 4, 3])
+    asked = []
+
+    def recording(arrivals, m):
+        def decide(agent, arrived, avail):
+            asked.append((agent, bits_of(arrived)))
+            return 0
+        return 1, decide
+
+    run_proxy_framework(inst, order, recording)
+    # k1 = 3 signal-sample agents, then the blackbox's own sample of one.
+    assert asked == [(1, [1, 5]), (4, [1, 4, 5]), (3, [1, 3, 4, 5])]
 
 
 def test_blackboxes_check_their_sample_size():
@@ -240,17 +293,17 @@ def test_match_blackbox_answers_a_repeated_call_from_its_memo(monkeypatch):
 
     monkeypatch.setattr(secalloc.secretary, "opt_matching", counting)
     blackbox = make_sample_then_match_blackbox(0)
-    first = blackbox(arrivals, inst.m)
+    first = play(blackbox, arrivals, inst.m)
     assert calls
     calls.clear()
-    assert blackbox(arrivals, inst.m) == first
+    assert play(blackbox, arrivals, inst.m) == first
     assert calls == []
 
 
 def test_framework_needs_two_agents():
     inst = generate_instance(GeneratorParams(1, 2, "xos_linear"), seed=0)
     with pytest.raises(ValidationError):
-        run_proxy_framework(inst, ArrivalOrder.identity(1), lambda arrivals, m: {})
+        run_proxy_framework(inst, ArrivalOrder.identity(1), nothing_blackbox)
 
 
 def test_random_order_is_the_generators_permutation():
@@ -291,6 +344,14 @@ def test_survival_capability_and_validation():
         survival_probability(small, 5, 2, 1)
     with pytest.raises(ValidationError, match="trials"):
         survival_probability(small, 0, 2, 1, mode="monte_carlo", trials=0)
+
+
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+def test_survival_rejects_a_sample_size_out_of_range(mode):
+    inst = generate_instance(GeneratorParams(5, 3, "additive"), seed=0)
+    for k in (-1, inst.n, inst.n + 4):
+        with pytest.raises(ValidationError, match=rf"sample size k={k} must satisfy 0 <= k < n=5"):
+            survival_probability(inst, 0, 3, k, mode, trials=10)
 
 
 # --- the arrival engine against literal references --------------------------
@@ -455,3 +516,59 @@ def test_half_constant_worst_case_still_passes():
     res = check_tail_harmonic_sum(seq)
     assert res.passed
     assert res.lhs < 0.56  # genuinely near the boundary
+
+
+# --- the proxy framework against its two-pass reference ----------------------
+
+UNIFORM = st.floats(0.0, 1.0, allow_nan=False)
+GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])  # ties and zeros
+
+
+@st.composite
+def framework_cases(draw):
+    """(instance, orders, blackbox kind, k): float, 0.25-grid or Fraction values."""
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(1, 3))
+    value = draw(st.sampled_from([UNIFORM, GRID]))
+    kind = draw(st.sampled_from(["greedy", "match"]))
+
+    def weight(readers, capped=True):
+        coeffs = [draw(value) if r in readers else 0.0 for r in range(n)]
+        return SignalWeight(coeffs, draw(value), draw(st.one_of(st.none(), value)) if capped else None)
+
+    everyone = set(range(n))
+    specs = []
+    for i in range(n):
+        shape = draw(st.sampled_from(["separable", "unit_demand"] + (["xos"] if kind == "greedy" else [])))
+        if shape == "separable":
+            specs.append(SeparableValuation(
+                i, [weight({i}, capped=False) for _ in range(m)],
+                [weight(everyone - {i}) for _ in range(m)],
+            ))
+        elif shape == "unit_demand":
+            specs.append(UnitDemandValuation(weight(everyone) for _ in range(m)))
+        else:
+            clauses = [{j: weight(everyone) for j in range(m)} for _ in range(draw(st.integers(1, 2)))]
+            specs.append(XOSValuation(clauses, num_items=m))
+    inst = Instance(specs, [draw(value) for _ in range(n)])
+    if draw(st.booleans()):
+        inst = inst.exact()
+    k = draw(st.one_of(st.none(), st.integers(0, n - n // 2 - 1)))
+    orders = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=3))
+    return inst, [ArrivalOrder(o) for o in orders], kind, k
+
+
+@DERANDOMIZED
+@given(case=framework_cases())
+def test_proxy_framework_equals_the_two_pass_reference(case):
+    inst, orders, kind, k = case
+    if kind == "match":
+        blackbox, reference = make_sample_then_match_blackbox(k), ref_make_sample_then_match_blackbox(k)
+    else:
+        blackbox, reference = make_sample_then_greedy_blackbox(k), ref_make_sample_then_greedy_blackbox(k)
+    # One blackbox per side serves every order, so the match memo is shared.
+    for order in orders:
+        got = run_proxy_framework(inst, order, blackbox)
+        assert_invariants(got)
+        assert repr(got) == repr(ref_run_proxy_framework(inst, order, reference))
+
