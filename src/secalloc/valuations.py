@@ -20,9 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from numbers import Real
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+from ._util import integerize, mask_of
 from .errors import CapabilityError, ValidationError
 
 # Largest bundle table (2^m entries) bundle_value_table builds: m <= 16.
@@ -98,6 +101,16 @@ def mask_signals(profile: SignalProfile, agents: Iterable[int]) -> SignalProfile
     return _unchecked(SignalProfile, values=vals)
 
 
+def _exact_profile(signals):
+    """``integerize`` of a profile whose values are all Fractions, else None."""
+    if isinstance(signals, SignalProfile):
+        signals = signals.values
+    for v in signals:
+        if type(v) is not Fraction:
+            return None
+    return integerize(signals)
+
+
 @dataclass(frozen=True)
 class SignalWeight:
     """Capped affine function of the signal profile.
@@ -105,6 +118,12 @@ class SignalWeight:
     w(s) = min(cap, const + sum_k coeffs[k] * s[k]); no clamping when cap
     is None.  Coefficients and the constant must be nonnegative, which
     makes every weight monotone in the signals.
+
+    The dot product is a left fold from int 0, which is what ``sum`` does
+    before Python 3.12.  When the parameters and the signals are all
+    Fractions, the weight is evaluated in integers over (weight
+    denominator x profile denominator) and returns the Fraction that
+    Fraction arithmetic would; other operand types use Python arithmetic.
     """
 
     coeffs: tuple
@@ -122,16 +141,49 @@ class SignalWeight:
         object.__setattr__(self, "const", const)
         object.__setattr__(self, "cap", cap)
 
+    @cached_property
+    def _ints(self):
+        """``(coeff numerators, const numerator, cap numerator or None,
+        denominator)`` when every parameter is a Fraction, else None."""
+        caps = () if self.cap is None else (self.cap,)
+        params = (*self.coeffs, self.const, *caps)
+        if not all(type(p) is Fraction for p in params):
+            return None
+        den = math.lcm(*(p.denominator for p in params))
+        nums = [p.numerator * (den // p.denominator) for p in params]
+        k = len(self.coeffs)
+        return tuple(nums[:k]), nums[k], None if self.cap is None else nums[k + 1], den
+
     def __call__(self, signals: Sequence):
-        total = self.const + sum(c * s for c, s in zip(self.coeffs, signals))
+        if self._ints is not None:
+            prof = _exact_profile(signals)
+            if prof is not None:
+                return self._exact(prof)
+        total = 0
+        for c, s in zip(self.coeffs, signals):
+            total += c * s
+        total = self.const + total
         if self.cap is not None and total > self.cap:
             return self.cap
         return total
 
+    def _numerator(self, prof) -> int:
+        """The value times (weight denominator x profile denominator), for
+        an exact weight at ``prof = _exact_profile(signals)``."""
+        coeffs, total, cap, _ = self._ints
+        nums, den = prof
+        total *= den
+        for c, s in zip(coeffs, nums):
+            total += c * s
+        if cap is not None and total > cap * den:
+            return cap * den
+        return total
+
+    def _exact(self, prof) -> Fraction:
+        return Fraction(self._numerator(prof), self._ints[3] * prof[1])
+
     def exact(self) -> "SignalWeight":
         """Lift all parameters to Fractions (float mixing would demote them)."""
-        from fractions import Fraction
-
         return _unchecked(
             SignalWeight,
             coeffs=tuple(map(Fraction, self.coeffs)),
@@ -205,20 +257,46 @@ class XOSValuation(ValuationSpec):
         self._validate_signals(signals)
         best = 0
         for clause in self.clauses:
-            tot = sum(w(signals) for j, w in clause if j in b)
+            tot = 0
+            for j, w in clause:
+                if j in b:
+                    tot += w(signals)
             if tot > best:
                 best = tot
         return best
 
     def item_scalars(self, signals) -> list[list]:
         """Per-clause, per-item weight values at a fixed profile."""
+        prof = _exact_profile(signals)
         out = []
         for clause in self.clauses:
             row = [0] * self.num_items
             for j, w in clause:
-                row[j] = w(signals)
+                row[j] = w(signals) if prof is None or w._ints is None else w._exact(prof)
             out.append(row)
         return out
+
+    def _exact_table(self, prof) -> Union[list, None]:
+        """The bundle table at ``prof``, when every weight is exact: one
+        integer additive table per clause over a common denominator, their
+        elementwise max, and one conversion per entry."""
+        weights = [w for clause in self.clauses for _, w in clause]
+        if any(w._ints is None for w in weights):
+            return None
+        den = math.lcm(*(w._ints[3] for w in weights))
+        tab = None
+        for clause in self.clauses:
+            row = [0] * self.num_items
+            for j, w in clause:
+                row[j] = w._numerator(prof) * (den // w._ints[3])
+            ctab = _additive_table(row)
+            tab = ctab if tab is None else list(map(max, tab, ctab))
+        den *= prof[1]
+        # In the Fraction tables an entry is the int 0 only where every
+        # clause sums to 0 and the last clause, which wins ties, holds none
+        # of the bundle's items.
+        last = mask_of(j for j, _ in self.clauses[-1])
+        return [Fraction(v, den) if v or mask & last else 0 for mask, v in enumerate(tab)]
 
     def exact(self) -> "XOSValuation":
         return XOSValuation(
@@ -235,14 +313,22 @@ class _UnitDemand(ValuationSpec):
         """Every item's weight at one signal profile, in item order."""
         if isinstance(signals, SignalProfile):
             signals = signals.values
-        return tuple(self.item_weight(j, signals) for j in range(self.num_items))
+        prof = _exact_profile(signals)
+        return tuple(self._item_value(j, signals, prof) for j in range(self.num_items))
+
+    def item_weight(self, j: int, signals):
+        # Subclasses define _item_value(j, signals, prof); taking
+        # prof = _exact_profile(signals) lets item_weights convert the
+        # profile once for all items.
+        return self._item_value(j, signals, _exact_profile(signals))
 
     def value(self, bundle, signals):
         b = self._validate_bundle(bundle)
         self._validate_signals(signals)
         if not b:
             return 0
-        return max(self.item_weight(j, signals) for j in b)
+        prof = _exact_profile(signals)
+        return max(self._item_value(j, signals, prof) for j in b)
 
 
 @dataclass(frozen=True)
@@ -266,8 +352,9 @@ class UnitDemandValuation(_UnitDemand):
     def num_items(self) -> int:
         return len(self.weights)
 
-    def item_weight(self, j: int, signals):
-        return self.weights[j](signals)
+    def _item_value(self, j: int, signals, prof):
+        w = self.weights[j]
+        return w(signals) if prof is None or w._ints is None else w._exact(prof)
 
     def exact(self) -> "UnitDemandValuation":
         return UnitDemandValuation(w.exact() for w in self.weights)
@@ -318,8 +405,12 @@ class SeparableValuation(_UnitDemand):
     def num_items(self) -> int:
         return len(self.own)
 
-    def item_weight(self, j: int, signals):
-        return self.own[j](signals) + self.others[j](signals)
+    def _item_value(self, j: int, signals, prof):
+        own, others = self.own[j], self.others[j]
+        if prof is None or own._ints is None or others._ints is None:
+            return own(signals) + others(signals)
+        a, b = own._ints[3], others._ints[3]
+        return Fraction(own._numerator(prof) * b + others._numerator(prof) * a, a * b * prof[1])
 
     def others_value(self, bundle: Iterable[int], signals):
         """Others'-signals part on a bundle of at most one item."""
@@ -375,9 +466,13 @@ def bundle_value_table(spec: SpecLike, signals: Sequence) -> list:
     """Values of every bundle, indexed by item bitmask (length 2^m).
 
     This is the hot path behind the offline optima: tables are exact in
-    whatever numeric domain the signals live in (float or Fraction).
-    Raises :class:`CapabilityError` before allocating when 2^m exceeds
-    :data:`TABLE_BUDGET`.
+    whatever numeric domain the signals live in (float or Fraction).  On
+    an all-Fraction profile and all-Fraction weights, an XOS table is
+    built in integers and each entry converted once; every entry is the
+    Fraction (or, where the Fraction sums would leave it, the int 0) that
+    the additive and max tables over :meth:`XOSValuation.item_scalars`
+    hold.  Raises :class:`CapabilityError` before allocating when 2^m
+    exceeds :data:`TABLE_BUDGET`.
     """
     if not isinstance(spec, ValuationSpec):
         raise ValidationError("bundle_value_table requires a constructive spec")
@@ -390,6 +485,10 @@ def bundle_value_table(spec: SpecLike, signals: Sequence) -> list:
     if isinstance(signals, SignalProfile):
         signals = signals.values
     if isinstance(spec, XOSValuation):
+        prof = _exact_profile(signals)
+        tab = None if prof is None else spec._exact_table(prof)
+        if tab is not None:
+            return tab
         per_clause = [_additive_table(row) for row in spec.item_scalars(signals)]
         tab = per_clause[0]
         for other in per_clause[1:]:
@@ -432,8 +531,6 @@ class Instance:
 
     def exact(self) -> "Instance":
         """Same instance with signals and weight parameters as exact Fractions."""
-        from fractions import Fraction
-
         return Instance(
             (spec.exact() for spec in self.specs),
             _unchecked(SignalProfile, values=tuple(map(Fraction, self.signals.values))),

@@ -8,11 +8,12 @@ behind ``ref_solve_from_tables``, the point-by-point monotonicity
 loop behind ``ref_check_monotone`` and the per-order, priced-mechanism
 ratio loop behind ``ref_estimate_ratio``), or keep the earlier code of a
 path that was restructured, verbatim (the two-pass proxy framework, its
-whole-allocation blackboxes, the mechanism's own sample split and the
-table-only step optimum).  The tie-break notion matches the
-library contract: among exact-rational welfare maximizers, the
-lexicographically smallest assignment vector (items in ascending order,
-"unassigned" before agent ids ascending).
+whole-allocation blackboxes, the mechanism's own sample split, the
+table-only step optimum, and weights and bundle tables in plain Python
+arithmetic).  The tie-break notion matches the library contract: among
+exact-rational welfare maximizers, the lexicographically smallest
+assignment vector (items in ascending order, "unassigned" before agent
+ids ascending).
 
 :func:`assert_invariants` holds the structural checks that the library's
 result records no longer run on themselves; the properties call it on
@@ -51,8 +52,10 @@ from secalloc.secretary import (
 from secalloc.structure_checks import VALUE_TOL, CheckResult
 from secalloc.valuations import (
     Instance,
+    SeparableValuation,
     SignalProfile,
     ValuationSpec,
+    XOSValuation,
     _UnitDemand,
     bundle_value_table,
     eval_valuation,
@@ -743,3 +746,74 @@ class RefStepOptRuntime(InstanceRuntime):
             hit = (alloc, masks)
             self._step_opt[amask] = hit
         return hit
+
+
+# --- weight evaluation and bundle tables before exact profiles were evaluated
+# in integers: Python arithmetic on whatever the operands are, with ``sum``
+# adding the dot product.  Verbatim apart from the names and the methods
+# turned into functions of the weight or spec.
+
+def ref_signal_weight(w, signals):
+    """``SignalWeight.__call__``: ``w`` at ``signals``."""
+    total = w.const + sum(c * s for c, s in zip(w.coeffs, signals))
+    if w.cap is not None and total > w.cap:
+        return w.cap
+    return total
+
+
+def _ref_item_weight(spec, j, signals):
+    if isinstance(spec, SeparableValuation):
+        return ref_signal_weight(spec.own[j], signals) + ref_signal_weight(spec.others[j], signals)
+    return ref_signal_weight(spec.weights[j], signals)
+
+
+def ref_item_weights(spec, signals) -> tuple:
+    """``_UnitDemand.item_weights``."""
+    if isinstance(signals, SignalProfile):
+        signals = signals.values
+    return tuple(_ref_item_weight(spec, j, signals) for j in range(spec.num_items))
+
+
+def _ref_item_scalars(spec, signals) -> list:
+    out = []
+    for clause in spec.clauses:
+        row = [0] * spec.num_items
+        for j, w in clause:
+            row[j] = ref_signal_weight(w, signals)
+        out.append(row)
+    return out
+
+
+def _ref_additive_table(scalars) -> list:
+    m = len(scalars)
+    tab = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        tab[mask] = tab[mask ^ low] + scalars[low.bit_length() - 1]
+    return tab
+
+
+def _ref_max_table(scalars) -> list:
+    m = len(scalars)
+    tab = [0] * (1 << m)
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        prev = tab[mask ^ low]
+        cur = scalars[low.bit_length() - 1]
+        tab[mask] = cur if cur > prev else prev
+    return tab
+
+
+def ref_bundle_value_table(spec, signals) -> list:
+    """``bundle_value_table`` on a constructive spec within the table budget."""
+    if isinstance(signals, SignalProfile):
+        signals = signals.values
+    if isinstance(spec, XOSValuation):
+        per_clause = [_ref_additive_table(row) for row in _ref_item_scalars(spec, signals)]
+        tab = per_clause[0]
+        for other in per_clause[1:]:
+            tab = [a if a > b else b for a, b in zip(tab, other)]
+        return tab
+    if isinstance(spec, _UnitDemand):
+        return _ref_max_table(ref_item_weights(spec, signals))
+    raise ValidationError(f"unsupported spec type {type(spec).__name__}")

@@ -1,12 +1,16 @@
 """Valuation types: masking, evaluation, normalization, monotonicity."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from secalloc import (
+    ExperimentConfig,
     Instance,
     SeparableValuation,
     SignalProfile,
@@ -15,12 +19,25 @@ from secalloc import (
     ValidationError,
     XOSValuation,
     bundle_value_table,
+    check_random_sampling_bound,
+    estimate_ratio,
     eval_valuation,
     mask_signals,
+    survival_probability,
 )
 from secalloc.harness import FAMILIES, GeneratorParams, generate_instance
+from secalloc.secretary import InstanceRuntime
 
-from reference_impls import ref_mask_signals
+from reference_impls import (
+    ref_bundle_value_table,
+    ref_item_weights,
+    ref_mask_signals,
+    ref_signal_weight,
+)
+
+# From Python 3.12 on, sum() adds floats with compensated rounding, so the
+# references' sum() and the library's left fold agree only before it.
+SUM_IS_A_LEFT_FOLD = sys.version_info < (3, 12)
 
 
 def const_weight(n, c):
@@ -244,3 +261,199 @@ def test_bundle_table_matches_direct_evaluation(family):
                         assert table[mask] == direct
                     else:
                         assert table[mask] == pytest.approx(direct, abs=1e-12)
+
+
+# --- weight arithmetic: left fold on floats, integers on exact operands ----
+
+def test_float_dot_product_is_a_left_fold():
+    # A compensated sum would round this to 1.0.
+    assert SignalWeight([0.1] * 10)([1.0] * 10) == 0.9999999999999999
+    spec = XOSValuation([{j: SignalWeight([0.1], 0.0) for j in range(10)}], num_items=10)
+    assert spec.value(range(10), [1.0]) == 0.9999999999999999
+
+
+@pytest.mark.skipif(not SUM_IS_A_LEFT_FOLD, reason="sum() compensates float rounding")
+def test_float_weights_add_like_builtin_sum():
+    rng = np.random.default_rng(7)
+    cases = [([], []), ([0.0], [-0.0]), ([0.1] * 10, [1.0] * 10)]
+    cases += [(list(rng.uniform(0, 3, 6)), list(rng.uniform(0, 3, 6))) for _ in range(20)]
+    for const in (-0.0, 0.0, 0.3):
+        for coeffs, sigs in cases:
+            coeffs, sigs = [float(c) for c in coeffs], [float(s) for s in sigs]
+            expected = const + sum(c * s for c, s in zip(coeffs, sigs))
+            assert repr(SignalWeight(coeffs, const)(sigs)) == repr(expected)
+            if coeffs:
+                spec = XOSValuation([{j: SignalWeight([c], const) for j, c in enumerate(coeffs)}],
+                                    num_items=len(coeffs))
+                want = sum(w([1.0]) for _, w in spec.clauses[0])
+                assert repr(spec.value(range(len(coeffs)), [1.0])) == repr(want if want > 0 else 0)
+
+
+KINDS = ("fraction", "float", "int", "mixed")
+HUGE = Fraction(10**400)
+
+
+@st.composite
+def numbers(draw, kind):
+    """A nonnegative number of ``kind``; 10**400 only where no float meets it."""
+    huge = kind != "mixed" and draw(st.integers(0, 4)) == 0
+    if kind == "mixed":
+        kind = draw(st.sampled_from(("fraction", "float", "int")))
+    if kind == "float":
+        return draw(st.sampled_from((0.0, -0.0, 0.1, 0.5, 1.0, 2.5, 1e-300)) | st.floats(0, 9))
+    if kind == "int":
+        return 10**400 if huge else draw(st.integers(0, 9))
+    return HUGE if huge else Fraction(draw(st.integers(0, 60)), draw(st.integers(1, 12)))
+
+
+def _capped(draw, coeffs, const, prof):
+    """A weight capped below, at or above its affine value at ``prof``, or uncapped."""
+    affine = ref_signal_weight(SignalWeight(coeffs, const), prof)
+    mode = draw(st.sampled_from(("none", "below", "equal", "equal_as_fraction", "above")))
+    if mode == "none":
+        return SignalWeight(coeffs, const)
+    cap = {
+        "below": affine // 2 if type(affine) is int else affine / 2,
+        "equal": affine,
+        "equal_as_fraction": Fraction(affine),
+        "above": affine + 1,
+    }[mode]
+    return SignalWeight(coeffs, const, cap)
+
+
+@st.composite
+def weight_cases(draw):
+    """(spec, profile): an XOS, unit-demand or separable spec whose
+    parameters and signals are all of one kind or mixed, at a profile that
+    may be masked."""
+    kind = draw(st.sampled_from(KINDS))
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    num = numbers(kind)
+    prof = SignalProfile([draw(num) for _ in range(n)])
+    if draw(st.booleans()):
+        prof = mask_signals(prof, draw(st.sets(st.integers(0, n - 1))))
+    vals = prof.values
+
+    def weight(reads=range(n), capped=True):
+        if draw(st.integers(0, 4)) == 0:
+            reads = ()  # a zero weight: zero sums tie between clauses
+        coeffs = [draw(num) if k in reads else draw(num) * 0 for k in range(n)]
+        const = draw(num) if reads else draw(num) * 0
+        return _capped(draw, coeffs, const, vals) if capped else SignalWeight(coeffs, const)
+
+    family = draw(st.sampled_from(("xos", "unit", "separable")))
+    if family == "xos":
+        clauses = []
+        for _ in range(draw(st.integers(1, 3))):
+            items = draw(st.sets(st.integers(0, m - 1)))  # a clause may omit items
+            clauses.append({j: weight() for j in sorted(items)})
+        spec = XOSValuation(clauses, num_items=m)
+    elif family == "unit":
+        spec = UnitDemandValuation([weight() for _ in range(m)])
+    else:
+        agent = draw(st.integers(0, n - 1))
+        own = [weight(reads={agent}, capped=False) for _ in range(m)]
+        others = [weight(reads=set(range(n)) - {agent}) for _ in range(m)]
+        spec = SeparableValuation(agent, own, others)
+    return spec, prof
+
+
+def _spec_weights(spec):
+    if isinstance(spec, XOSValuation):
+        return [w for clause in spec.clauses for _, w in clause]
+    if isinstance(spec, SeparableValuation):
+        return [*spec.own, *spec.others]
+    return list(spec.weights)
+
+
+def _uses_floats(spec, prof):
+    params = [p for w in _spec_weights(spec) for p in (*w.coeffs, w.const, w.cap)]
+    return any(type(v) is float for v in (*params, *prof.values))
+
+
+def _huge_exact_case():
+    big = SignalWeight([HUGE, Fraction(1, 3)], HUGE, cap=HUGE * 3)
+    spec = XOSValuation([{0: big, 1: SignalWeight([HUGE, HUGE], Fraction(0))}, {1: big}], num_items=2)
+    return spec, SignalProfile([HUGE, Fraction(7, 5)])
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=weight_cases())
+@example(case=_huge_exact_case())
+def test_weights_and_tables_equal_the_python_arithmetic_reference(case):
+    spec, prof = case
+    if _uses_floats(spec, prof) and not SUM_IS_A_LEFT_FOLD:
+        return
+    for w in _spec_weights(spec):
+        assert repr(w(prof.values)) == repr(ref_signal_weight(w, prof.values))
+    if not isinstance(spec, XOSValuation):
+        assert repr(spec.item_weights(prof)) == repr(ref_item_weights(spec, prof))
+    assert repr(bundle_value_table(spec, prof)) == repr(ref_bundle_value_table(spec, prof))
+
+
+def test_exact_tables_and_item_weights_make_no_fraction_arithmetic(monkeypatch):
+    calls = []
+    xos = generate_instance(GeneratorParams(5, 4, "xos_capped"), seed=2).exact()
+    sep = generate_instance(GeneratorParams(5, 4, "separable_capped"), seed=2).exact()
+    profiles = [mask_signals(inst.signals, {0, 2, 3}) for inst in (xos, sep)]
+    for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        original = getattr(Fraction, name)
+
+        def counted(*args, _original=original):
+            calls.append(args)
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    for spec in xos.specs:
+        bundle_value_table(spec, profiles[0])
+    for spec in sep.specs:
+        bundle_value_table(spec, profiles[1])
+        spec.item_weights(profiles[1])
+    monkeypatch.undo()
+    assert calls == []
+    assert Fraction(1, 2) + 1 == Fraction(3, 2)
+
+
+# Exact results through the whole stack, captured before weights and
+# tables were evaluated in integers.  test_harness's ratio reference
+# evaluates weights with the library's SignalWeight, so it cannot see a
+# drift in weight arithmetic; these literals can.
+GOLDEN_C2 = {
+    0: "RatioStats(mean=Fraction(4100637934839995365155574034106283, 7310928974580670513063188445613260), "
+       "std_err=0.01667313301833024, ci95=0.03267934071592727, min_ratio=0.0, "
+       "max_ratio=0.9471699021670166, trials=120, opt_value=9.011415701397237)",
+    1: "RatioStats(mean=Fraction(1090874493219818419127838891336533, 1894061145580805064260933881153125), "
+       "std_err=0.019186052960633963, ci95=0.03760466380284257, min_ratio=0.20816294480793385, "
+       "max_ratio=1.0, trials=120, opt_value=7.782035363785523)",
+}
+GOLDEN_C4 = (
+    "SamplingBoundCheck(lhs=Fraction(4941771800647875679533127978179081, 811296384146066816957890051440640), "
+    "rhs=Fraction(832389046788136214667850020751959, 324518553658426726783156020576256), "
+    "passed=True, subsets=20)"
+)
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_C2))
+def test_exact_order_ratio_is_golden(seed):
+    inst = generate_instance(GeneratorParams(5, 4, "xos_linear"), seed=seed).exact()
+    stats = estimate_ratio(inst, ExperimentConfig("alg2", trials=1, mode="exact_orders"))
+    assert repr(stats) == GOLDEN_C2[seed]
+
+
+def test_exact_survival_table_is_golden():
+    inst = generate_instance(GeneratorParams(6, 3, "additive"), seed=0).exact()
+    runtime = InstanceRuntime(inst)
+    table = {(t, j): survival_probability(inst, j, t, 2, "exact", runtime=runtime)
+             for t in range(2, 6) for j in range(3)}
+    assert repr(table) == (
+        "{(2, 0): Fraction(1, 1), (2, 1): Fraction(1, 1), (2, 2): Fraction(1, 1), "
+        "(3, 0): Fraction(2, 3), (3, 1): Fraction(2, 3), (3, 2): Fraction(2, 3), "
+        "(4, 0): Fraction(1, 2), (4, 1): Fraction(1, 2), (4, 2): Fraction(1, 2), "
+        "(5, 0): Fraction(2, 5), (5, 1): Fraction(2, 5), (5, 2): Fraction(2, 5)}"
+    )
+
+
+def test_exact_half_sample_bound_is_golden():
+    inst = generate_instance(GeneratorParams(6, 4, "separable_capped"), seed=0).exact()
+    assert repr(check_random_sampling_bound(inst, "exact")) == GOLDEN_C4
