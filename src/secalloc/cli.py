@@ -25,7 +25,7 @@ from .harness import (
     generate_instance,
 )
 from .instance_io import load_instance, save_instance
-from .mechanism import _require_separable, check_epic, check_random_sampling_bound
+from .mechanism import _require_mechanism, check_epic, check_random_sampling_bound
 from .secretary import (
     InstanceRuntime,
     _trial_orders,
@@ -116,8 +116,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.orders < 1:
+        raise ValidationError("--orders must be >= 1")
     inst = load_instance(args.instance)
-    _require_separable(inst)
+    _require_mechanism(inst)
     k_skip = inst.n // 2 + sample_size(inst.n, "n/2e")
     worst = 0.0
     for order in _trial_orders(args.seed, args.orders, inst.n):

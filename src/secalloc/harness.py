@@ -19,18 +19,18 @@ import numpy as np
 
 from . import __version__
 from .errors import CapabilityError, ValidationError
-from .mechanism import _require_separable
+from .mechanism import _require_mechanism
 from .offline import opt_dispatch
 from .secretary import (
-    ArrivalOrder,
     InstanceRuntime,
+    _arrive,
     _check_sample_size,
+    _match_step,
+    _matched_weight,
+    _proxy_steps,
     _trial_orders,
     make_sample_then_greedy_blackbox,
     make_sample_then_match_blackbox,
-    run_proxy_framework,
-    run_sample_then_greedy,
-    run_sample_then_match,
     sample_size,
 )
 from .valuations import (
@@ -195,9 +195,11 @@ class RatioStats:
 def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
     """Mean ALG/OPT over arrival orders, with OPT the true-signal optimum.
 
-    Each order runs only the algorithm's allocation rule, picked and
-    checked once before OPT; the mechanism's is the proxy framework with
-    the match blackbox at sample size floor(n/2e).  The denominator is exact
+    The algorithm's engine pass and its welfare scorer are picked and
+    checked once, before OPT; each order then scores the bundle masks
+    its pass takes, and records nothing else.  The mechanism's pass is
+    the proxy framework with the match blackbox at sample size
+    floor(n/2e): prices do not enter welfare.  The denominator is exact
     (:func:`opt_dispatch`: a matching on unit-demand and separable
     instances); in exact_orders mode the mean is the average over all
     n! permutations (and stays a Fraction when the instance's signals
@@ -210,28 +212,31 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
         user = "rei19" if alg == "rei19" else "the match blackbox"
         raise ValidationError(f"{user} needs unit-demand (or separable) valuations")
     if alg == "mechanism":
-        _require_separable(inst)
-        if n < 3:
-            raise ValidationError("the mechanism needs n >= 3")
-        # Its allocation rule: prices do not enter welfare.
+        _require_mechanism(inst)
         alg, match, k = "framework", True, sample_size(n, "n/2e")
-    if config.mode == "exact_orders" and n > 7:
-        raise CapabilityError(f"exact order enumeration needs n <= 7, got n={n}")
+    if config.mode == "exact_orders":
+        if n > 7:
+            raise CapabilityError(f"exact order enumeration needs n <= 7, got n={n}")
+        orders = itertools.permutations(range(n))
+    else:
+        orders = (order.agents for order in _trial_orders(config.seed, config.trials, n))
 
     runtime = InstanceRuntime(inst)
+    score = runtime.true_welfare
     if alg == "framework":
         if k is not None:
             _check_sample_size(k, n - n // 2)
         make = make_sample_then_match_blackbox if match else make_sample_then_greedy_blackbox
-        rule = functools.partial(run_proxy_framework, inst, blackbox=make(k), runtime=runtime)
+        steps = functools.partial(_proxy_steps, inst.specs, inst.signals,
+                                  num_items=inst.m, blackbox=make(k))
     else:
         k = sample_size(n, "n/2" if alg == "alg2" else "n/e") if k is None else k
         _check_sample_size(k, n)
+        step = runtime.greedy_step
         if alg == "rei19":
             weights = {i: runtime.true_weights(i) for i in range(n)}
-            rule = functools.partial(run_sample_then_match, weights, inst.m, k=k, cache={})
-        else:
-            rule = functools.partial(run_sample_then_greedy, inst, k=k, runtime=runtime)
+            step, score = _match_step({}, weights), _matched_weight(weights)
+        steps = functools.partial(_arrive, num_items=inst.m, k=k, decide=step)
 
     opt_true = opt_dispatch(inst, range(n), lambda i: inst.signals, table=runtime.true_table).value
     try:
@@ -239,14 +244,9 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
     except OverflowError:
         raise ValidationError("opt_value: the true-signal optimum is beyond the float range") from None
 
-    if config.mode == "exact_orders":
-        orders = [ArrivalOrder(p) for p in itertools.permutations(range(n))]
-    else:
-        orders = _trial_orders(config.seed, config.trials, n)
-
     ratios = []
     for order in orders:
-        alg_value = rule(order).welfare
+        alg_value = score({agent: taken for _, agent, _, taken in steps(order) if taken})
         # An all-zero optimum makes every allocation trivially optimal.
         ratios.append(alg_value / opt_true if opt_true > 0 else 1.0)
 

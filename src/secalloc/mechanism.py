@@ -82,10 +82,13 @@ class MechanismOutcome:
         return self.bundles.get(agent, frozenset())
 
 
-def _require_separable(inst: Instance) -> None:
+def _require_mechanism(inst: Instance) -> None:
+    """The mechanism's precondition: separable unit-demand agents, at least 3 of them."""
     for i, spec in enumerate(inst.specs):
         if not isinstance(spec, SeparableValuation):
             raise ValidationError(f"agent {i}'s valuation is not separable unit-demand")
+    if inst.n < 3:
+        raise ValidationError("the mechanism needs n >= 3")
 
 
 def run_mechanism(
@@ -104,10 +107,8 @@ def run_mechanism(
     exactly 0 (the formula evaluates to 0 there as well).  Matchings are
     memoized in ``solver_cache`` (see :func:`secalloc.secretary._memo_matching`).
     """
-    _require_separable(inst)
+    _require_mechanism(inst)
     n = inst.n
-    if n < 3:
-        raise ValidationError("the mechanism needs n >= 3")
     order = _check_order(order, n)
     if reports is None:
         reports = inst.signals

@@ -19,8 +19,9 @@ only in their policy:
   step matches the arrived agents to the *available* items only and the
   arriving agent keeps her matched item.  That matching step is
   :func:`_memo_matching`, which the truthful mechanism runs on frozen
-  proxy weights too; its memo is keyed by content, so one dict can be
-  shared across orders, reports and weight maps.
+  proxy weights too; its memo is keyed by content, so the match
+  blackbox and an audit can share one across orders, reports and
+  weight maps.
 * :func:`run_proxy_framework` lifts any classical online algorithm to the
   interdependent setting by spending the first half of the agents purely
   on signal information and running the algorithm's policy on the
@@ -33,7 +34,8 @@ signals and her own, all others zero).  It returns ``(k, decide)``: its
 own sample size over those agents and its policy, whose arrived mask
 holds only them.  The survival probabilities and the truthful mechanism
 (:mod:`secalloc.mechanism`, the framework with a pricing match policy)
-run on the same engine.
+run on the same engine, and so does :func:`secalloc.harness.estimate_ratio`,
+which scores each order's taken masks without recording a run.
 """
 
 from __future__ import annotations
@@ -215,9 +217,10 @@ def _sample_k(k: Optional[int], n: int) -> int:
 
 
 def _trial_orders(seed: int, trials: int, n: int) -> Iterator[ArrivalOrder]:
-    """The Monte Carlo order stream: trial t's order is drawn from ``trial_rng(seed, t)``."""
-    for t in range(trials):
-        yield ArrivalOrder.random(n, trial_rng(seed, t))
+    """The Monte Carlo order stream (seed checked at once): trial t uses ``trial_rng(seed, t)``."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return (ArrivalOrder.random(n, trial_rng(seed, t)) for t in range(trials))
 
 
 class InstanceRuntime:
@@ -286,13 +289,7 @@ class InstanceRuntime:
         return total
 
 
-def run_sample_then_greedy(
-    inst: Instance,
-    order,
-    k: int,
-    *,
-    runtime: Optional[InstanceRuntime] = None,
-) -> RunResult:
+def run_sample_then_greedy(inst: Instance, order, k: int) -> RunResult:
     """Skip k agents, then greedily hand out step-optimal bundles.
 
     Every step optimum is over *all* items (availability is applied only
@@ -301,7 +298,7 @@ def run_sample_then_greedy(
     """
     order = _check_order(order, inst.n)
     _check_sample_size(k, inst.n)
-    rt = runtime if runtime is not None else InstanceRuntime(inst)
+    rt = InstanceRuntime(inst)
     return _run_result(_arrive(order, inst.m, k, rt.greedy_step), rt.true_welfare)
 
 
@@ -316,20 +313,26 @@ def _match_step(memo: dict, weights: Mapping[int, tuple]) -> Callable[[int, int,
     return match_step
 
 
+def _matched_weight(weights: Mapping[int, tuple]) -> Callable[[dict], object]:
+    """The matching secretary's welfare: each taken item's weight, summed in arrival order."""
+
+    def score(taken_by: dict) -> object:
+        return sum(weights[i][bm.bit_length() - 1] for i, bm in taken_by.items())
+
+    return score
+
+
 def run_sample_then_match(
     weights: Mapping[int, Sequence],
     num_items: int,
     order,
     k: Optional[int] = None,
-    *,
-    cache: Optional[dict] = None,
 ) -> RunResult:
     """Secretary matching on fixed unit-demand weights, available items only.
 
     Welfare is the sum of matched weights (the weights are the final
-    word here: there is no interdependence left at this layer).  Step
-    optima are memoized in ``cache`` by :func:`_memo_matching`, so a
-    cache may be shared across calls with different weights.
+    word here: there is no interdependence left at this layer).  Every
+    agent of the order needs a weight vector of length ``num_items``.
     """
     if not isinstance(order, ArrivalOrder):
         order = ArrivalOrder(order)
@@ -337,13 +340,14 @@ def run_sample_then_match(
     if n == 0:
         raise ValidationError("empty arrival order")
     k = _sample_k(k, n)
-    memo = cache if cache is not None else {}
     weights = {a: tuple(ws) for a, ws in weights.items()}
-
-    def matched_weight(taken_by: dict) -> object:
-        return sum(weights[i][bm.bit_length() - 1] for i, bm in taken_by.items())
-
-    return _run_result(_arrive(order, num_items, k, _match_step(memo, weights)), matched_weight)
+    for a in order:
+        if a not in weights:
+            raise ValidationError(f"agent {a} has no weight vector")
+        if len(weights[a]) != num_items:
+            raise ValidationError(f"agent {a} has {len(weights[a])} weights for {num_items} items")
+    steps = _arrive(order, num_items, k, _match_step({}, weights))
+    return _run_result(steps, _matched_weight(weights))
 
 
 Blackbox = Callable[[Sequence, int], tuple]
@@ -385,6 +389,8 @@ def make_sample_then_match_blackbox(k: Optional[int] = None) -> Blackbox:
 def _proxy_steps(specs, signals, order: tuple, num_items: int, blackbox: Blackbox):
     """The proxy framework's one engine pass: floor(n/2) signal-sample agents,
     then the blackbox's sample k and its policy on the residual agents."""
+    if len(order) < 2:
+        raise ValidationError("the proxy framework needs at least 2 agents")
     k1 = len(order) // 2
     sample = order[:k1]
     sample_mask = mask_of(sample)
@@ -401,13 +407,7 @@ def _proxy_steps(specs, signals, order: tuple, num_items: int, blackbox: Blackbo
     return _arrive(order, num_items, k1 + k, step)
 
 
-def run_proxy_framework(
-    inst: Instance,
-    order,
-    blackbox: Blackbox,
-    *,
-    runtime: Optional[InstanceRuntime] = None,
-) -> RunResult:
+def run_proxy_framework(inst: Instance, order, blackbox: Blackbox) -> RunResult:
     """Half the agents buy signal information; a classical algorithm runs on the rest.
 
     The first floor(n/2) agents are skipped and only their signals are
@@ -417,11 +417,8 @@ def run_proxy_framework(
     Welfare is still scored at the full true profile.
     """
     order = _check_order(order, inst.n)
-    if inst.n < 2:
-        raise ValidationError("the proxy framework needs at least 2 agents")
-    rt = runtime if runtime is not None else InstanceRuntime(inst)
     steps = _proxy_steps(inst.specs, inst.signals, order.agents, inst.m, blackbox)
-    return _run_result(steps, rt.true_welfare)
+    return _run_result(steps, InstanceRuntime(inst).true_welfare)
 
 
 def survival_probability(

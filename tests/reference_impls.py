@@ -31,7 +31,7 @@ import numpy as np
 from secalloc._util import bits_of, mask_of, set_of, trial_rng
 from secalloc.errors import CapabilityError, ValidationError
 from secalloc.harness import RatioStats
-from secalloc.mechanism import MechanismOutcome, MechStep, _require_separable, run_mechanism
+from secalloc.mechanism import MechanismOutcome, MechStep, _require_mechanism, run_mechanism
 from secalloc.offline import Allocation, opt_dispatch, solve_from_tables
 from secalloc.secretary import (
     ArrivalOrder,
@@ -489,10 +489,12 @@ def _ref_make_order_source(inst, config):
 def ref_estimate_ratio(inst, config) -> RatioStats:
     """``estimate_ratio`` as it stood with the priced mechanism in its loop.
 
-    Every order re-picks its algorithm, and the mechanism row runs the
-    full :func:`run_mechanism` and scores its bundles.  The only edit is
-    the matching memo: a dict local to the call, where the runtime used
-    to own one.
+    Every order re-picks its algorithm and runs it through the public
+    run function, which validates the order, builds its own runtime or
+    matching memo and records a whole :class:`RunResult`; the mechanism
+    row runs the full :func:`run_mechanism` and scores its bundles.
+    Only the mechanism's memo is shared, as ``solver_cache``: no result
+    depends on memo sharing.
     """
     unit_demand = all(isinstance(spec, _UnitDemand) for spec in inst.specs)
     match = config.blackbox == "match" or (config.blackbox == "auto" and unit_demand)
@@ -500,7 +502,7 @@ def ref_estimate_ratio(inst, config) -> RatioStats:
         user = "rei19" if config.alg == "rei19" else "the match blackbox"
         raise ValidationError(f"{user} needs unit-demand (or separable) valuations")
     if config.alg == "mechanism":
-        _require_separable(inst)
+        _require_mechanism(inst)
 
     runtime = InstanceRuntime(inst)
     matchings: dict = {}
@@ -514,17 +516,17 @@ def ref_estimate_ratio(inst, config) -> RatioStats:
     def welfare(order: ArrivalOrder):
         if config.alg == "alg1":
             k = config.k if config.k is not None else sample_size(inst.n, "n/e")
-            return run_sample_then_greedy(inst, order, k, runtime=runtime).welfare
+            return run_sample_then_greedy(inst, order, k).welfare
         if config.alg == "alg2":
             k = config.k if config.k is not None else sample_size(inst.n, "n/2")
-            return run_sample_then_greedy(inst, order, k, runtime=runtime).welfare
+            return run_sample_then_greedy(inst, order, k).welfare
         if config.alg == "rei19":
             k = config.k if config.k is not None else sample_size(inst.n, "n/e")
-            res = run_sample_then_match(weights, inst.m, order, k, cache=matchings)
+            res = run_sample_then_match(weights, inst.m, order, k)
             return res.welfare
         if config.alg == "framework":
             make = make_sample_then_match_blackbox if match else make_sample_then_greedy_blackbox
-            return run_proxy_framework(inst, order, make(config.k), runtime=runtime).welfare
+            return run_proxy_framework(inst, order, make(config.k)).welfare
         outcome = run_mechanism(inst, order, solver_cache=matchings)
         return runtime.true_welfare({i: mask_of(b) for i, b in outcome.bundles.items()})
 
@@ -582,11 +584,7 @@ def ref_make_sample_then_greedy_blackbox(k: Optional[int] = None) -> Callable:
 
 
 def ref_make_sample_then_match_blackbox(k: Optional[int] = None) -> Callable:
-    """Classical secretary matching on frozen item weights; agents must be unit-demand.
-
-    Every call shares one content-keyed :func:`_memo_matching` memo; only bundles leave it.
-    """
-    memo: dict = {}
+    """Classical secretary matching on frozen item weights; agents must be unit-demand."""
 
     def run(arrivals, num_items):
         weights = {}
@@ -597,7 +595,7 @@ def ref_make_sample_then_match_blackbox(k: Optional[int] = None) -> Callable:
                 )
             weights[agent] = spec.item_weights(sigs)
         order = ArrivalOrder(agent for agent, *_ in arrivals)
-        return dict(run_sample_then_match(weights, num_items, order, k, cache=memo).bundles)
+        return dict(run_sample_then_match(weights, num_items, order, k).bundles)
 
     return run
 
@@ -662,10 +660,8 @@ def ref_run_mechanism(
     exactly 0 (the formula evaluates to 0 there as well).  Matchings are
     memoized in ``solver_cache`` (see :func:`secalloc.secretary._memo_matching`).
     """
-    _require_separable(inst)
+    _require_mechanism(inst)
     n = inst.n
-    if n < 3:
-        raise ValidationError("the mechanism needs n >= 3")
     order = _check_order(order, n)
     if reports is None:
         reports = inst.signals

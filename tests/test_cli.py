@@ -94,6 +94,26 @@ def test_bad_counts_exit_one(tmp_path):
     assert out.stderr.startswith("error:") and "k does not apply" in out.stderr
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_a_negative_seed_exits_one(tmp_path, command):
+    inst_path = tmp_path / "inst.json"
+    save_instance(generate_instance(GeneratorParams(4, 2, "separable_linear"), 1), inst_path)
+    extra = ["--alg", "alg1", "--trials", "5"] if command == "run" else []
+    out = run_cli(command, "--instance", str(inst_path), "--seed", "-1", *extra)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "seed must be >= 0" in out.stderr
+
+
+def test_audit_rejects_fewer_than_one_order(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    save_instance(generate_instance(GeneratorParams(4, 2, "separable_linear"), 1), inst_path)
+    for orders in ("0", "-1"):
+        out = run_cli("audit", "--instance", str(inst_path), "--orders", orders)
+        assert out.returncode == 1, out.stdout
+        assert out.stderr.startswith("error:") and "--orders must be >= 1" in out.stderr
+        assert "EPIC holds" not in out.stdout
+
+
 def test_run_rejects_an_integer_beyond_the_float_range(tmp_path):
     doc = {"n": 1, "m": 1, "signals": [10**400],
            "agents": [{"type": "unit_demand", "weights": [{"coeffs": [1.0]}]}]}
@@ -136,6 +156,11 @@ def test_audit_rejects_non_separable(tmp_path):
                   "--blackbox", "match", "--trials", "2")
     assert out.returncode == 1
     assert out.stderr.startswith("error:") and "unit-demand" in out.stderr
+    two_agents = tmp_path / "two.json"
+    save_instance(generate_instance(GeneratorParams(2, 2, "separable_linear"), 1), two_agents)
+    out = run_cli("audit", "--instance", str(two_agents))
+    assert out.returncode == 1
+    assert out.stderr.startswith("error:") and "the mechanism needs n >= 3" in out.stderr
 
 
 # `secretary check` stdout on three generated float instances, byte for byte.

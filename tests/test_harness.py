@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from reference_impls import ref_estimate_ratio
 
+import secalloc.harness
+import secalloc.secretary
+
 from secalloc import (
     ALGORITHMS,
     CapabilityError,
@@ -164,6 +167,31 @@ def test_estimate_ratio_equals_the_per_order_reference(alg, blackbox):
         assert repr(estimate_ratio(inst, config)) == repr(ref_estimate_ratio(inst, config))
 
     check()
+
+
+@pytest.mark.parametrize("mode", ["monte_carlo", "exact_orders"])
+@pytest.mark.parametrize("alg, blackbox", [
+    ("alg1", "auto"), ("alg2", "auto"), ("rei19", "auto"), ("mechanism", "auto"),
+    ("framework", "auto"), ("framework", "match"), ("framework", "greedy"),
+])
+def test_estimate_ratio_records_no_run(monkeypatch, alg, blackbox, mode):
+    def no_record(*args, **kwargs):
+        raise AssertionError("estimate_ratio recorded a RunResult")
+
+    monkeypatch.setattr(secalloc.secretary, "_run_result", no_record)
+    inst = generate_instance(GeneratorParams(5, 3, "separable_capped"), seed=0)
+    stats = estimate_ratio(inst, ExperimentConfig(alg, trials=20, seed=1, mode=mode, blackbox=blackbox))
+    assert stats.trials == (120 if mode == "exact_orders" else 20)
+
+
+def test_a_negative_seed_is_rejected_before_the_optimum(monkeypatch):
+    def no_optimum(*args, **kwargs):
+        raise AssertionError("the optimum was computed")
+
+    monkeypatch.setattr(secalloc.harness, "opt_dispatch", no_optimum)
+    inst = generate_instance(GeneratorParams(4, 2, "xos_linear"), seed=0)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        estimate_ratio(inst, ExperimentConfig("alg1", trials=5, seed=-1))
 
 
 def test_mechanism_row_needs_three_agents():

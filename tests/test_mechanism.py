@@ -172,6 +172,8 @@ def test_audit_counts_are_validated_before_any_run():
             check_epic(inst, order, 3, grid_points=points)
     with pytest.raises(ValidationError, match="trials"):
         check_random_sampling_bound(inst, "monte_carlo", trials=0)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        check_random_sampling_bound(inst, "monte_carlo", trials=5, seed=-1)
 
 
 def test_overflowing_payment_is_rejected():

@@ -346,6 +346,12 @@ def test_survival_capability_and_validation():
         survival_probability(small, 0, 2, 1, mode="monte_carlo", trials=0)
 
 
+def test_monte_carlo_survival_rejects_a_negative_seed():
+    inst = generate_instance(GeneratorParams(3, 2, "additive"), seed=0)
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        survival_probability(inst, 0, 2, 1, mode="monte_carlo", trials=5, seed=-1)
+
+
 @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
 def test_survival_rejects_a_sample_size_out_of_range(mode):
     inst = generate_instance(GeneratorParams(5, 3, "additive"), seed=0)
@@ -368,10 +374,9 @@ def test_sample_then_match_equals_reference(data):
     ids = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True))
     weights = {a: [data.draw(WEIGHTS) for _ in range(m)] for a in ids}
     k = data.draw(st.integers(0, n - 1))
-    cache: dict = {}  # shared across orders, as estimate_ratio shares it
     for _ in range(3):
         order = data.draw(st.permutations(ids))
-        res = run_sample_then_match(weights, m, order, k, cache=cache)
+        res = run_sample_then_match(weights, m, order, k)
         assert_invariants(res)
         trace, bundles, welfare = ref_run_sample_then_match(weights, m, order, k)
         assert [(r.t, r.agent, r.available, r.bundle) for r in res.trace] == trace
@@ -381,29 +386,38 @@ def test_sample_then_match_equals_reference(data):
 
 @DERANDOMIZED
 @given(data=st.data())
-@example(data=None)  # two crossed weight maps on order [0, 1], k=0
+@example(data=None)  # agent 0 samples; crossed weight maps for agents 1, 2 on order [0, 1, 2], k=0
 def test_match_cache_shared_across_weight_maps_equals_fresh_runs(data):
     if data is None:
-        runs = [({0: [1.0, 0.0], 1: [0.0, 1.0]}, [0, 1], 0),
-                ({0: [0.0, 1.0], 1: [1.0, 0.0]}, [0, 1], 0)]
-        m = 2
+        n, k = 3, 0
+        runs = [([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [0, 1, 2]),
+                ([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]], [0, 1, 2])]
     else:
-        n = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(2, 5))
         m = data.draw(st.integers(1, 3))
-        ids = list(range(n))
-        runs = [({a: [data.draw(WEIGHTS) for _ in range(m)] for a in ids},
-                 data.draw(st.permutations(ids)), data.draw(st.integers(0, n - 1)))
+        k = data.draw(st.integers(0, n - n // 2 - 1))
+        runs = [([[data.draw(WEIGHTS) for _ in range(m)] for _ in range(n)],
+                 data.draw(st.permutations(range(n))))
                 for _ in range(4)]
-    cache: dict = {}  # one cache across every weight map
-    for weights, order, k in runs:
-        shared = run_sample_then_match(weights, m, order, k, cache=cache)
-        fresh = run_sample_then_match(weights, m, order, k)
+    shared_blackbox = make_sample_then_match_blackbox(k)  # one memo across every weight map
+    for rows, order in runs:
+        # Signal-free unit-demand agents: the proxy weights are the rows.
+        inst = Instance([UnitDemandValuation(SignalWeight([0.0] * n, w) for w in row) for row in rows],
+                        [0.0] * n)
+        shared = run_proxy_framework(inst, order, shared_blackbox)
+        fresh = run_proxy_framework(inst, order, make_sample_then_match_blackbox(k))
         assert_invariants(shared)
         assert repr(shared) == repr(fresh)
-        trace, bundles, welfare = ref_run_sample_then_match(weights, m, order, k)
-        assert [(r.t, r.agent, r.available, r.bundle) for r in shared.trace] == trace
-        assert repr(shared.bundles) == repr(bundles)
-        assert repr(shared.welfare) == repr(welfare)
+
+
+@pytest.mark.parametrize("weights, num_items, order, message", [
+    ({0: [1.0]}, 1, [1, 0], "agent 1 has no weight vector"),
+    ({0: [1.0], 1: [1.0]}, 2, [0, 1], "agent 0 has 1 weights for 2 items"),
+    ({0: [1, 2, 3], 1: [1, 2, 5]}, 2, [0, 1], "agent 0 has 3 weights for 2 items"),
+], ids=["missing", "short", "long"])
+def test_sample_then_match_checks_its_weight_map(weights, num_items, order, message):
+    with pytest.raises(ValidationError, match=message):
+        run_sample_then_match(weights, num_items, order, 0)
 
 
 @DERANDOMIZED
