@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
+from ._util import check_seed
 from .errors import CapabilityError, ValidationError
 from .harness import (
     ALGORITHMS,
@@ -145,6 +146,7 @@ def _check_line(name: str, ok: bool, detail: str = "") -> bool:
 
 
 def _cmd_check(args) -> int:
+    check_seed(args.seed)
     inst = load_instance(args.instance)
     failures = 0
     witnesses = []

@@ -18,6 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
+from ._util import check_seed
 from .errors import CapabilityError, ValidationError
 from .mechanism import _require_mechanism
 from .offline import opt_dispatch
@@ -93,6 +94,7 @@ def generate_instance(params: GeneratorParams, seed: int) -> Instance:
     on [0,1]; caps sit at uniform [0.5, 1.5] times the expected uncapped
     weight, so capping actually binds on a decent fraction of profiles.
     """
+    check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence((FAMILIES.index(params.family), seed)))
     n, m = params.n, params.m
     signals = [float(s) for s in rng.uniform(0.0, 1.0, n)]

@@ -16,6 +16,15 @@ dominates every possible code difference.  That objective has a unique
 maximizer, so the subset-DP solver and the matching solver cannot
 disagree on ties.
 
+The subset DP also takes its tables as the rows of one float64 array.
+:func:`opt_dispatch` builds that array for float XOS agents in a single
+numpy pass (``valuations._float_xos_tables``, bit for bit the entries of
+``bundle_value_table``), and ``integerize`` reads it with ``np.frexp``:
+each float is a 53-bit integer mantissa times a power of two, so the
+common denominator is one power of two and the integers are the same as
+from ``as_integer_ratio``.  The entries an allocation reports are read
+back as Python floats.  Exact, int and mixed agents keep list tables.
+
 :func:`opt_dispatch` is the one entry point for instance optima: it sends
 unit-demand and separable agents to the polynomial matching solver and
 everything else to the subset DP over bundle tables.  The matching is
@@ -40,9 +49,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 from ._util import integerize, set_of
 from .errors import CapabilityError, ValidationError
-from .valuations import Instance, _UnitDemand, bundle_value_table
+from .valuations import Instance, _UnitDemand, _float_xos_tables, bundle_value_table
 
 __all__ = ["Allocation", "opt_dispatch", "opt_general", "opt_matching"]
 
@@ -87,15 +98,16 @@ def solve_from_tables(
 ) -> Allocation:
     """Exact optimum over bundle-value tables (one table per agent).
 
-    ``tables[r]`` is indexed by bitmask over ``item_ids`` (ascending).
-    This is the shared engine behind :func:`opt_general`,
-    :func:`opt_dispatch` and the per-step optima of the online
-    algorithms.  Agent 0's layer is a subset-max pass (its submasks
-    need no convolution with the empty layer before it), q * 2^q steps;
-    agents 1..t-2 visit all 3^q (set, submask) pairs; and agent t-1 is
-    solved at the full item set only, the one entry the reconstruction
-    reads, in 2^q steps.  That is at most t * 3^q steps, the count the
-    capability guard checks.
+    ``tables[r]`` is indexed by bitmask over ``item_ids`` (ascending);
+    ``tables`` is a list of such tables or a (t, 2^q) array, whose
+    reported entries are converted with ``.item()``.  This is the shared
+    engine behind :func:`opt_general`, :func:`opt_dispatch` and the
+    per-step optima of the online algorithms.  Agent 0's layer is a
+    subset-max pass (its submasks need no convolution with the empty
+    layer before it), q * 2^q steps; agents 1..t-2 visit all 3^q (set,
+    submask) pairs; and agent t-1 is solved at the full item set only,
+    the one entry the reconstruction reads, in 2^q steps.  That is at
+    most t * 3^q steps, the count the capability guard checks.
     """
     agents = list(agent_ids)
     items = list(item_ids)
@@ -116,14 +128,15 @@ def solve_from_tables(
         if tab[0] != 0:
             raise ValidationError(f"oracle for agent {agents[r]} must value the empty bundle at 0")
 
-    flat = [v for tab in tables for v in tab]
+    is_array = isinstance(tables, np.ndarray)
+    flat = tables.ravel() if is_array else [v for tab in tables for v in tab]
     size = 1 << q
     try:
         ints, _ = integerize(flat)
     except (OverflowError, ValueError):
         # Finite inputs can still overflow to inf (a huge coefficient times
         # a huge signal); find the first cell only now, off the hot path.
-        for c, v in enumerate(flat):
+        for c, v in enumerate(flat.tolist() if is_array else flat):
             try:
                 integerize([v])
             except (OverflowError, ValueError):
@@ -201,10 +214,21 @@ def solve_from_tables(
         s_mask ^= x
         if x:
             bundles[agents[r]] = frozenset(items[b] for b in set_of(x))
-            per_agent[agents[r]] = tables[r][x]
+            per_agent[agents[r]] = tables[r, x].item() if is_array else tables[r][x]
 
-    value = sum(per_agent[i] for i in sorted(per_agent)) if per_agent else 0.0
-    return Allocation(frozenset(agents), frozenset(items), bundles, per_agent, value)
+    return Allocation(frozenset(agents), frozenset(items), bundles, per_agent, _welfare(per_agent))
+
+
+def _welfare(per_agent: dict):
+    """The per-agent values added in agent order, as a left fold from int 0
+    (what ``sum`` does before Python 3.12); the float 0.0 when nobody
+    gets anything."""
+    if not per_agent:
+        return 0.0
+    total = 0
+    for i in sorted(per_agent):
+        total += per_agent[i]
+    return total
 
 
 def opt_general(
@@ -357,8 +381,7 @@ def opt_matching(
         if ints[r * q + b]:
             bundles[ag[r]] = frozenset({it[b]})
             per_agent[ag[r]] = flat[r * q + b]
-    value = sum(per_agent[i] for i in sorted(per_agent)) if per_agent else 0.0
-    return Allocation(frozenset(ag), frozenset(it), bundles, per_agent, value)
+    return Allocation(frozenset(ag), frozenset(it), bundles, per_agent, _welfare(per_agent))
 
 
 def opt_dispatch(
@@ -374,13 +397,19 @@ def opt_dispatch(
     when every agent has one the optimum is :func:`opt_matching`,
     polynomial in n and m.  Otherwise the subset DP runs over 2^m bundle
     tables; ``table(i)`` supplies agent i's table when the caller caches
-    them (it must equal ``bundle_value_table`` at ``signals(i)``).  Both
-    solvers share the tie-break, so the choice never changes the result.
+    them (it must equal ``bundle_value_table`` at ``signals(i)``).
+    Without ``table``, float XOS agents' tables are built as one array.
+    Both solvers share the tie-break, so the choice never changes the result.
     """
     ag = sorted(set(agents))
     items = range(inst.m)
     if all(isinstance(inst.specs[i], _UnitDemand) for i in ag):
         return opt_matching(ag, {i: inst.specs[i].item_weights(signals(i)) for i in ag}, items)
-    tables = [table(i) if table else bundle_value_table(inst.specs[i], signals(i)) for i in ag]
+    if table:
+        return solve_from_tables(ag, [table(i) for i in ag], items)
+    specs, profiles = [inst.specs[i] for i in ag], [signals(i) for i in ag]
+    tables = _float_xos_tables(specs, profiles)
+    if tables is None:
+        tables = list(map(bundle_value_table, specs, profiles))
     return solve_from_tables(ag, tables, items)
 

@@ -46,10 +46,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
-from ._util import bits_of, mask_of, set_of, trial_rng
+import numpy as np
+
+from ._util import bits_of, check_seed, mask_of, set_of, trial_rng
 from .errors import CapabilityError, ValidationError
 from .offline import opt_dispatch, opt_matching, solve_from_tables
-from .valuations import Instance, _UnitDemand, _unchecked, bundle_value_table, mask_signals
+from .valuations import (
+    Instance,
+    _float_xos_tables,
+    _UnitDemand,
+    _unchecked,
+    bundle_value_table,
+    mask_signals,
+)
 
 __all__ = [
     "ArrivalOrder",
@@ -218,8 +227,7 @@ def _sample_k(k: Optional[int], n: int) -> int:
 
 def _trial_orders(seed: int, trials: int, n: int) -> Iterator[ArrivalOrder]:
     """The Monte Carlo order stream (seed checked at once): trial t uses ``trial_rng(seed, t)``."""
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    check_seed(seed)
     return (ArrivalOrder.random(n, trial_rng(seed, t)) for t in range(trials))
 
 
@@ -271,6 +279,8 @@ class InstanceRuntime:
 
     def greedy_step(self, agent: int, amask: int, avail: int) -> int:
         """Sample-then-greedy's policy: the available part of the agent's step-optimal bundle."""
+        if not avail:
+            return 0
         return self.step_opt(amask)[1].get(agent, 0) & avail
 
     def true_welfare(self, bundle_masks: Mapping[int, int]):
@@ -354,14 +364,26 @@ Blackbox = Callable[[Sequence, int], tuple]
 
 
 def make_sample_then_greedy_blackbox(k: Optional[int] = None) -> Blackbox:
-    """Classical sample-then-greedy over all items, on frozen bundle tables, as a policy."""
+    """Classical sample-then-greedy over all items, on frozen bundle tables, as a policy.
+
+    Float XOS agents' tables are the rows of one array
+    (``valuations._float_xos_tables``); other agents' are lists.
+    """
 
     def start(arrivals, num_items):
-        tables = {agent: bundle_value_table(spec, sigs) for agent, spec, sigs in arrivals}
+        specs, profiles = [spec for _, spec, _ in arrivals], [sigs for _, _, sigs in arrivals]
+        tables = _float_xos_tables(specs, profiles)
+        if tables is None:
+            tables = list(map(bundle_value_table, specs, profiles))
+        row = {agent: r for r, (agent, _, _) in enumerate(arrivals)}
 
         def greedy_step(agent: int, amask: int, avail: int) -> int:
+            if not avail:
+                return 0
             agents = bits_of(amask)
-            alloc = solve_from_tables(agents, [tables[a] for a in agents], range(num_items))
+            rows = [row[a] for a in agents]
+            own = tables[rows] if isinstance(tables, np.ndarray) else [tables[r] for r in rows]
+            alloc = solve_from_tables(agents, own, range(num_items))
             return mask_of(alloc.bundle_of(agent)) & avail
 
         return _sample_k(k, len(arrivals)), greedy_step

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import bits_of, mask_of, set_of
+from ._util import bits_of, check_seed, mask_of, set_of
 from .errors import CapabilityError, ValidationError
 from .valuations import (
     SignalProfile,
@@ -99,6 +99,7 @@ def check_monotone(
     so each (bundle, profile) point is evaluated once.  Otherwise checks
     that many sampled pairs, adding random upward signal bumps.
     """
+    check_seed(seed)
     s = _profile(signals)
     n, m = _dims(spec, s, num_items)
 
@@ -178,6 +179,7 @@ def check_subadditive_over_signals(
     Exhaustive over all 2^n splits for n <= 14; beyond that, pass
     ``samples`` to check that many random splits instead.
     """
+    check_seed(seed)
     s = _profile(signals)
     n = len(s)
     value = _masked_value(spec, frozenset(bundle), s)

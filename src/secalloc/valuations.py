@@ -25,6 +25,8 @@ from functools import cached_property
 from numbers import Real
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 from ._util import integerize, mask_of
 from .errors import CapabilityError, ValidationError
 
@@ -276,6 +278,26 @@ class XOSValuation(ValuationSpec):
             out.append(row)
         return out
 
+    @cached_property
+    def _floats(self):
+        """``(coeffs, consts, caps)`` as float64 arrays of shapes (K, m, n),
+        (K, m) and (K, m) for K clauses, when every weight parameter is a
+        float, else None.  An item a clause omits has zero coefficients,
+        constant 0.0 and cap inf, so it is worth 0.0 there; ``cap=None``
+        is the cap inf too."""
+        k, m, n = len(self.clauses), self.num_items, self.num_agents
+        coeffs, consts, caps = np.zeros((k, m, n)), np.zeros((k, m)), np.full((k, m), np.inf)
+        for c, clause in enumerate(self.clauses):
+            for j, w in clause:
+                params = (*w.coeffs, w.const) + (() if w.cap is None else (w.cap,))
+                if not all(type(p) is float for p in params):
+                    return None
+                coeffs[c, j] = w.coeffs
+                consts[c, j] = w.const
+                if w.cap is not None:
+                    caps[c, j] = w.cap
+        return coeffs, consts, caps
+
     def _exact_table(self, prof) -> Union[list, None]:
         """The bundle table at ``prof``, when every weight is exact: one
         integer additive table per clause over a common denominator, their
@@ -462,26 +484,83 @@ def _max_table(scalars: Sequence) -> list:
     return tab
 
 
+def _check_table_budget(num_items: int) -> None:
+    size = 1 << num_items
+    if size > TABLE_BUDGET:
+        raise CapabilityError(
+            f"a bundle table over m={num_items} items has {size} entries, "
+            f"over the table budget {TABLE_BUDGET}"
+        )
+
+
+def _float_xos_tables(specs: Sequence, profiles: Sequence):
+    """``bundle_value_table(specs[r], profiles[r])`` for every r, as the
+    rows of one (t, 2^m) float64 array built in a single numpy pass.
+
+    Returns None unless every spec is an :class:`XOSValuation` over the
+    same m with float parameters (``XOSValuation._floats``) and every
+    profile value is a float.  Each entry has the bits of the Python
+    table's entry (an int 0 there is 0.0 here):
+
+    * a weight is a fold from +0.0 over ascending signal indices, then
+      ``const + total``, then the cap where ``total > cap``; a signal
+      that is zero in every profile is skipped, since x + (+-0.0) == x
+      for every x >= +0.0 the fold can hold;
+    * a clause's entry adds its items from the highest bit down, which
+      the doubling over descending bits below reproduces;
+    * clauses are maxed by ``np.maximum``: no entry is nan or -0.0, so
+      equal entries have equal bits and the clause order cannot matter.
+
+    Overflow to inf stays silent, as in Python arithmetic.  Raises
+    :class:`CapabilityError` before allocating when 2^m exceeds
+    :data:`TABLE_BUDGET`.
+    """
+    if not specs:
+        return None
+    m = specs[0].num_items
+    forms, rows = [], []
+    for spec, prof in zip(specs, profiles):
+        form = spec._floats if isinstance(spec, XOSValuation) and spec.num_items == m else None
+        vals = prof.values if isinstance(prof, SignalProfile) else prof
+        if form is None or len(vals) != spec.num_agents or any(type(v) is not float for v in vals):
+            return None
+        forms.append(form)
+        rows.append(vals)
+    _check_table_budget(m)
+    coeffs, consts, caps = (np.concatenate(part) for part in zip(*forms))
+    clauses = [len(form[1]) for form in forms]
+    sig = np.array(rows, dtype=np.float64).repeat(clauses, axis=0)  # one row per clause
+    with np.errstate(all="ignore"):
+        total = np.zeros(consts.shape)
+        for k in np.flatnonzero(sig.any(axis=0)):
+            total += coeffs[:, :, k] * sig[:, k, None]
+        total = consts + total
+        scalars = np.where(total > caps, caps, total)
+        tab = np.zeros((len(scalars), 1))
+        for b in range(m - 1, -1, -1):
+            # Bit b becomes the lowest bit of the index, and is added last.
+            tab = np.stack((tab, tab + scalars[:, b, None]), axis=-1).reshape(len(tab), -1)
+        starts = np.cumsum([0] + clauses[:-1])
+        return np.maximum.reduceat(tab, starts, axis=0)
+
+
 def bundle_value_table(spec: SpecLike, signals: Sequence) -> list:
     """Values of every bundle, indexed by item bitmask (length 2^m).
 
-    This is the hot path behind the offline optima: tables are exact in
-    whatever numeric domain the signals live in (float or Fraction).  On
-    an all-Fraction profile and all-Fraction weights, an XOS table is
-    built in integers and each entry converted once; every entry is the
-    Fraction (or, where the Fraction sums would leave it, the int 0) that
-    the additive and max tables over :meth:`XOSValuation.item_scalars`
-    hold.  Raises :class:`CapabilityError` before allocating when 2^m
-    exceeds :data:`TABLE_BUDGET`.
+    The offline optima read these tables; float XOS step optima build
+    theirs in one batch with the same bits (:func:`_float_xos_tables`).
+    Tables are exact in whatever numeric domain the signals live in
+    (float or Fraction).  On an all-Fraction profile and all-Fraction
+    weights, an XOS table is built in integers and each entry converted
+    once; every entry is the Fraction (or, where the Fraction sums would
+    leave it, the int 0) that the additive and max tables over
+    :meth:`XOSValuation.item_scalars` hold.  Raises
+    :class:`CapabilityError` before allocating when 2^m exceeds
+    :data:`TABLE_BUDGET`.
     """
     if not isinstance(spec, ValuationSpec):
         raise ValidationError("bundle_value_table requires a constructive spec")
-    size = 1 << spec.num_items
-    if size > TABLE_BUDGET:
-        raise CapabilityError(
-            f"a bundle table over m={spec.num_items} items has {size} entries, "
-            f"over the table budget {TABLE_BUDGET}"
-        )
+    _check_table_budget(spec.num_items)
     if isinstance(signals, SignalProfile):
         signals = signals.values
     if isinstance(spec, XOSValuation):

@@ -94,14 +94,21 @@ def test_bad_counts_exit_one(tmp_path):
     assert out.stderr.startswith("error:") and "k does not apply" in out.stderr
 
 
-@pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize("command", ["run", "audit", "check", "generate"])
 def test_a_negative_seed_exits_one(tmp_path, command):
     inst_path = tmp_path / "inst.json"
     save_instance(generate_instance(GeneratorParams(4, 2, "separable_linear"), 1), inst_path)
-    extra = ["--alg", "alg1", "--trials", "5"] if command == "run" else []
-    out = run_cli(command, "--instance", str(inst_path), "--seed", "-1", *extra)
+    args = {
+        "run": ["--instance", str(inst_path), "--alg", "alg1", "--trials", "5"],
+        "audit": ["--instance", str(inst_path)],
+        "check": ["--instance", str(inst_path)],
+        "generate": ["--n", "4", "--m", "2", "--family", "additive", "--out", str(tmp_path / "g.json")],
+    }[command]
+    out = run_cli(command, *args, "--seed", "-1")
     assert out.returncode == 1
     assert out.stderr.startswith("error:") and "seed must be >= 0" in out.stderr
+    assert out.stdout == ""  # nothing ran, or was checked, first
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_audit_rejects_fewer_than_one_order(tmp_path):

@@ -25,6 +25,7 @@ from secalloc import (
     SignalWeight,
     UnitDemandValuation,
     ValidationError,
+    XOSValuation,
     bundle_value_table,
     estimate_ratio,
     generate_instance,
@@ -43,6 +44,7 @@ from secalloc import (
 from secalloc import cli
 from secalloc._util import mask_of, trial_rng
 from secalloc.offline import solve_from_tables
+from secalloc.secretary import _proxy_steps
 
 # Deterministic and free of wall-clock checks, so tier-1 runs repeat exactly.
 DERANDOMIZED = settings(derandomize=True, deadline=None, database=None,
@@ -160,6 +162,73 @@ def test_algorithm_fit_is_checked_before_any_optimum():
         estimate_ratio(inst, ExperimentConfig("framework", trials=2, blackbox="match"))
     with pytest.raises(ValidationError, match="match blackbox needs unit-demand"):
         run_proxy_framework(inst, ArrivalOrder.identity(3), make_sample_then_match_blackbox())
+
+
+# --- float XOS step optima: one array of tables -----------------------------
+
+def _count_calls(monkeypatch, name, modules):
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_float_xos_step_optima_build_no_bundle_tables(monkeypatch):
+    built = _count_calls(monkeypatch, "bundle_value_table",
+                         (secalloc.valuations, secalloc.offline, secalloc.secretary))
+    inst = generate_instance(GeneratorParams(5, 3, "xos_capped"), seed=3)
+    runtime = InstanceRuntime(inst)
+    for amask in range(1, (1 << inst.n) - 1):
+        runtime.step_opt(amask)
+    arrivals = [(a, inst.specs[a], mask_signals(inst.signals, {0, a})) for a in range(1, 5)]
+    _, decide = make_sample_then_greedy_blackbox(0)(arrivals, inst.m)
+    for amask in range(2, 1 << inst.n, 2):
+        decide((amask & -amask).bit_length() - 1, amask, 0b111)
+    assert built == []
+    # A ratio estimate builds only the n true-signal tables, for OPT and scoring.
+    for alg, blackbox in (("alg1", "auto"), ("framework", "greedy")):
+        estimate_ratio(inst, ExperimentConfig(alg, trials=20, blackbox=blackbox))
+        assert len(built) == inst.n
+        built.clear()
+
+
+def test_greedy_policies_solve_nothing_when_no_item_is_left(monkeypatch):
+    solves = _count_calls(monkeypatch, "solve_from_tables", (secalloc.offline, secalloc.secretary))
+    inst = generate_instance(GeneratorParams(5, 1, "additive"), seed=0)
+    runtime = InstanceRuntime(inst)
+    arrivals = [(a, inst.specs[a], inst.signals) for a in range(3)]
+    _, decide = make_sample_then_greedy_blackbox(0)(arrivals, inst.m)
+    assert runtime.greedy_step(4, 0b11111, 0) == 0 and decide(2, 0b111, 0) == 0
+    assert solves == []
+    # With k = 0 the first agent takes the only item, positive for everyone,
+    # so only that step solves.
+    assert run_sample_then_greedy(inst, ArrivalOrder.identity(5), 0).bundles == {0: frozenset({0})}
+    assert len(solves) == 1
+    steps = list(_proxy_steps(inst.specs, inst.signals, (0, 1, 2, 3, 4), 1,
+                              make_sample_then_greedy_blackbox(0)))
+    assert [taken for *_, taken in steps] == [0, 0, 1, 0, 0] and len(solves) == 2
+
+
+def test_an_overflowing_float_step_optimum_still_names_its_bundle():
+    # 1e200 * 1e200 overflows to inf in the array pass, as in Python arithmetic.
+    zero = XOSValuation([{0: SignalWeight([0.0, 0.0, 0.0])}], 1)
+    big = XOSValuation([{0: SignalWeight([1e200, 0.0, 0.0], 0.5)},
+                        {0: SignalWeight([0.0, 1.0, 0.0])}], 1)
+    inst = Instance([zero, big, zero], [1e200, 1.0, 1.0])
+    order = ArrivalOrder([0, 1, 2])
+    runs = (lambda: InstanceRuntime(inst).step_opt(0b011),
+            lambda: run_sample_then_greedy(inst, order, 0),
+            lambda: run_proxy_framework(inst, order, make_sample_then_greedy_blackbox()))
+    for run in runs:
+        with pytest.raises(ValidationError,
+                           match=r"^bundle value for agent 1, items \[0\] must be finite, got inf$"):
+            run()
 
 
 # --- dispatcher equals the subset DP ---------------------------------------

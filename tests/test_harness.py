@@ -47,6 +47,11 @@ def test_generator_is_deterministic():
     assert instance_to_json(a) != instance_to_json(c)
 
 
+def test_generator_rejects_a_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+        generate_instance(GeneratorParams(3, 2, "additive"), seed=-1)
+
+
 def test_generator_rejects_unknown_family():
     with pytest.raises(ValidationError):
         GeneratorParams(3, 2, "mystery")

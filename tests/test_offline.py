@@ -361,6 +361,38 @@ def test_subset_dp_equals_all_layers_reference(case):
     assert repr(alloc) == repr(ref_solve_from_tables(agents, tables, items))
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=300,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(case=dp_cases())
+@example(case=([5, 1], [[0, 0.5, 0.25, 0.75], [0, 0.25, 0.5, 0.75]], [7, 2]))
+@example(case=([3], [[0]], []))
+@example(case=([4, 0, 2], [[0.0] * 4, [0, 0.25, 0.25, 0.5], [0, 0.25, 0.25, 0.5]], [1, 0]))
+def test_subset_dp_on_a_float_array_equals_the_lists(case):
+    """An array of tables gives the lists' allocation, with Python float entries."""
+    agents, tables, items = case
+    if any(type(v) is not float for tab in tables for v in tab[1:]):
+        return
+    array = np.array(tables, dtype=np.float64).reshape(len(agents), 1 << len(items))
+    alloc = solve_from_tables(agents, array, items)
+    assert repr(alloc) == repr(solve_from_tables(agents, tables, items))
+    assert all(type(v) is float for v in alloc.per_agent_value.values())
+
+
+def test_subset_dp_on_an_array_names_a_non_finite_bundle_value():
+    tables = np.array([[0, 0.5, 1.0, 1.5], [0, np.inf, 0.0, np.inf]])
+    with pytest.raises(ValidationError, match=r"agent 9, items \[4\] must be finite, got inf$"):
+        solve_from_tables([3, 9], tables, [4, 8])
+    with pytest.raises(ValidationError, match=r"agent 3, items \[4, 8\] .*got nan$"):
+        solve_from_tables([3], np.array([[0, 0.5, 1.0, np.nan]]), [4, 8])
+
+
+def test_allocation_value_is_a_left_fold():
+    # Ten 0.1 weights: a compensated sum (Python 3.12's sum) would give 1.0.
+    weights = {i: [0.1 if j == i else 0.0 for j in range(10)] for i in range(10)}
+    alloc = opt_matching(range(10), weights, range(10))
+    assert repr(alloc.value) == "0.9999999999999999"
+
+
 # --- exact integerization ----------------------------------------------------
 
 FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
@@ -399,3 +431,39 @@ def test_integerize_rejects_nan_and_infinity(bad, error):
         integerize([1.0, bad])
     with pytest.raises(error):
         integerize([np.int64(1), bad])
+
+
+FLOAT_ARRAY_VALUES = st.one_of(
+    FINITE_FLOATS,
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 2.0**-1074 * 3,
+                     2.0**53, 2.0**60, 2.0**60 + 2.0**8, 2.0**63, 1.7976931348623157e308]),
+    st.integers(0, 400).map(lambda k: k * 0.25),
+    st.integers(-(2**62), 2**62).map(float),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(values=st.lists(FLOAT_ARRAY_VALUES, max_size=40))
+@example(values=[])
+@example(values=[0.0, -0.0])
+@example(values=[5e-324, 1.0])
+@example(values=[2.0**60, 0.5, 3.0])
+@example(values=[2.0**62, 0.1, -2.0**61])
+@example(values=[0.001, 10.0, 0.25])
+def test_integerize_of_a_float_array_equals_the_list_path(values):
+    want = integerize(values)
+    for shape in ((len(values),), (1, len(values))):
+        ints, denom = integerize(np.array(values, dtype=np.float64).reshape(shape))
+        assert (ints, denom) == want
+        assert type(denom) is int and all(type(x) is int for x in ints)
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, np.inf], [np.nan], [-np.inf, np.nan], [np.nan, np.inf], [0.5, 2.0**60, -np.inf],
+])
+def test_integerize_of_a_float_array_raises_as_the_list_path(values):
+    with pytest.raises((OverflowError, ValueError)) as listed:
+        integerize(values)
+    with pytest.raises(listed.type, match=f"^{listed.value}$"):
+        integerize(np.array(values))

@@ -29,6 +29,21 @@ DERANDOMIZED = settings(derandomize=True, deadline=None, database=None,
 GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])  # ties and zeros
 
 
+def test_seeded_checkers_reject_a_negative_seed():
+    evaluated = []
+
+    def oracle(bundle, signals):
+        evaluated.append(bundle)
+        return len(bundle)
+
+    signals = [0.5, 0.25, 1.0]
+    for check in (lambda: check_monotone(oracle, signals, sample_budget=1, num_items=2, seed=-1),
+                  lambda: check_subadditive_over_signals(oracle, [0], signals, samples=3, seed=-1)):
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            check()
+    assert evaluated == []
+
+
 @pytest.mark.parametrize("family", ["xos_linear", "xos_capped", "separable_capped"])
 def test_monotone_passes_on_generated_specs(family):
     for seed in range(5):

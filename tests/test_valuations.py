@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from secalloc import (
+    CapabilityError,
     ExperimentConfig,
     Instance,
     SeparableValuation,
@@ -27,6 +28,7 @@ from secalloc import (
 )
 from secalloc.harness import FAMILIES, GeneratorParams, generate_instance
 from secalloc.secretary import InstanceRuntime
+from secalloc.valuations import _float_xos_tables
 
 from reference_impls import (
     ref_bundle_value_table,
@@ -390,6 +392,92 @@ def test_weights_and_tables_equal_the_python_arithmetic_reference(case):
     if not isinstance(spec, XOSValuation):
         assert repr(spec.item_weights(prof)) == repr(ref_item_weights(spec, prof))
     assert repr(bundle_value_table(spec, prof)) == repr(ref_bundle_value_table(spec, prof))
+
+
+# --- float XOS tables in one numpy pass ------------------------------------
+
+FLOAT_PARAMS = st.sampled_from((0.0, -0.0, 0.1, 0.5, 2.5, 1e-300, 1e200, 1.7e308)) | st.floats(0, 9)
+
+
+@st.composite
+def float_xos_cases(draw):
+    """(specs, profiles): float XOS agents, each at its own profile, which
+    may be masked, all zero or large enough to overflow."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    specs, profiles = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        clauses = []
+        for c in range(draw(st.integers(1, 3))):
+            # Partial clauses; the first holds an item, so the spec knows n.
+            items = draw(st.sets(st.integers(0, m - 1), min_size=1 if c == 0 else 0))
+            clause = {}
+            for j in sorted(items):
+                coeffs = [draw(FLOAT_PARAMS) for _ in range(n)]
+                cap = draw(st.none() | FLOAT_PARAMS)
+                clause[j] = SignalWeight(coeffs, draw(FLOAT_PARAMS), cap)
+            clauses.append(clause)
+        specs.append(XOSValuation(clauses, num_items=m))
+        kind = draw(st.sampled_from(("plain", "masked", "zero")))
+        prof = SignalProfile([draw(FLOAT_PARAMS) for _ in range(n)])
+        if kind != "plain":
+            keep = draw(st.sets(st.integers(0, n - 1))) if kind == "masked" else ()
+            prof = mask_signals(prof, keep)
+        profiles.append(prof if draw(st.booleans()) else prof.values)
+    return specs, profiles
+
+
+def _overflow_case():
+    huge = SignalWeight([1e200, 1e200], 0.0)
+    capped = SignalWeight([1e200, 0.0], 1.0, cap=3.0)
+    spec = XOSValuation([{0: huge, 2: capped}, {1: SignalWeight([0.0, 1.0], cap=None)}], num_items=3)
+    return [spec, spec], [SignalProfile([1e200, 0.5]), mask_signals(SignalProfile([1e200, 0.5]), [1])]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=float_xos_cases())
+@example(case=_overflow_case())
+def test_float_xos_tables_equal_bundle_value_table_bit_for_bit(case):
+    specs, profiles = case
+    tables = _float_xos_tables(specs, profiles)
+    assert tables.dtype == np.float64 and tables.shape == (len(specs), 1 << specs[0].num_items)
+    for spec, prof, row in zip(specs, profiles, tables.tolist()):
+        want = [float(v).hex() for v in bundle_value_table(spec, prof)]
+        assert [v.hex() for v in row] == want
+
+
+def test_float_xos_tables_overflow_to_inf_silently():
+    specs, profiles = _overflow_case()
+    with np.errstate(all="raise"):
+        tables = _float_xos_tables(specs, profiles)
+    assert tables.tolist() == [
+        [0.0, np.inf, 0.5, np.inf, 3.0, np.inf, 3.0, np.inf],
+        [0.0, 5e199, 0.5, 5e199, 1.0, 5e199, 1.0, 5e199],
+    ]
+
+
+def test_float_xos_tables_only_for_float_xos_agents():
+    xos = generate_instance(GeneratorParams(3, 2, "xos_capped"), seed=1)
+    sep = generate_instance(GeneratorParams(3, 2, "separable_linear"), seed=1)
+    exact = xos.exact()
+    with_int = XOSValuation([{0: SignalWeight([1.0, 0.0, 1.0], 1)}], num_items=2)
+    floats = [xos.signals] * 3
+    assert _float_xos_tables(xos.specs, floats).shape == (3, 4)
+    assert _float_xos_tables([], []) is None
+    assert _float_xos_tables([xos.specs[0], sep.specs[1]], floats[:2]) is None
+    assert _float_xos_tables([xos.specs[0], exact.specs[1]], floats[:2]) is None
+    assert _float_xos_tables([xos.specs[0], with_int], floats[:2]) is None
+    assert _float_xos_tables(xos.specs, [xos.signals, exact.signals, xos.signals]) is None
+    assert _float_xos_tables(xos.specs[:1], [(0.5, 1.0, 0)]) is None
+    assert _float_xos_tables(xos.specs[:1], [(0.5, 1.0)]) is None
+
+
+def test_float_xos_tables_check_the_table_budget_first():
+    inst = generate_instance(GeneratorParams(2, 17, "xos_linear"), seed=0)
+    with pytest.raises(CapabilityError) as listed:
+        bundle_value_table(inst.specs[0], inst.signals)
+    with pytest.raises(CapabilityError, match=f"^{listed.value}$"):
+        _float_xos_tables(inst.specs, [inst.signals] * 2)
 
 
 def test_exact_tables_and_item_weights_make_no_fraction_arithmetic(monkeypatch):
