@@ -1,4 +1,4 @@
-"""Internal helpers: bitmask sets, exact integerization, derived RNG streams."""
+"""Internal helpers: bitmask sets, the left sum, exact integerization, derived RNG streams."""
 
 from __future__ import annotations
 
@@ -31,6 +31,26 @@ def bits_of(mask: int) -> list[int]:
 
 def set_of(mask: int) -> frozenset[int]:
     return frozenset(bits_of(mask))
+
+
+def left_sum(values: Iterable):
+    """``values`` added left to right from the int 0, as ``sum`` did through
+    Python 3.11 (from 3.12 ``sum`` compensates float rounding).  Every sum
+    in the library goes through here, so its float bits do not depend on
+    the interpreter; an empty input gives the int 0."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
+def float_in_range(value, what: str) -> float:
+    """``float(value)``; a :class:`ValidationError` saying that ``what`` is
+    beyond the float range where that conversion overflows."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{what} is beyond the float range") from None
 
 
 def _ratio(v) -> tuple[int, int]:

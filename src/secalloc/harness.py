@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from . import __version__
-from ._util import check_seed
+from ._util import check_seed, float_in_range, left_sum
 from .errors import CapabilityError, ValidationError
 from .mechanism import _require_mechanism
 from .offline import opt_dispatch
@@ -241,10 +241,7 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
         steps = functools.partial(_arrive, num_items=inst.m, k=k, decide=step)
 
     opt_true = opt_dispatch(inst, range(n), lambda i: inst.signals, table=runtime.true_table).value
-    try:
-        opt_value = float(opt_true)
-    except OverflowError:
-        raise ValidationError("opt_value: the true-signal optimum is beyond the float range") from None
+    opt_value = float_in_range(opt_true, "opt_value: the true-signal optimum")
 
     ratios = []
     for order in orders:
@@ -252,7 +249,7 @@ def estimate_ratio(inst: Instance, config: ExperimentConfig) -> RatioStats:
         # An all-zero optimum makes every allocation trivially optimal.
         ratios.append(alg_value / opt_true if opt_true > 0 else 1.0)
 
-    mean = sum(ratios) / len(ratios)
+    mean = left_sum(ratios) / len(ratios)
     as_float = np.array([float(r) for r in ratios])
     std = float(as_float.std(ddof=1)) if len(ratios) > 1 else 0.0
     se = std / math.sqrt(len(ratios))

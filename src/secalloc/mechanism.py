@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from ._util import bits_of, mask_of, set_of
+from ._util import bits_of, float_in_range, left_sum, mask_of, set_of
 from .errors import CapabilityError, ValidationError
 from .offline import opt_dispatch
 from .secretary import _check_order, _memo_matching, _proxy_steps, _trial_orders, sample_size
@@ -59,7 +59,7 @@ class MechStep:
     opt_minus: Optional[object] = None
     g_full: Optional[object] = None
     g_sample: Optional[object] = None
-    price: object = 0.0
+    price: object = 0
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,14 @@ def run_mechanism(
             g_full = spec.others_value(bundle, mask_signals(reports, others).values)
             g_sample = spec.others_value(bundle, sample_reports)
             formula = prev.value - opt_minus + g_full - g_sample
-            priced[agent] = (prev.value, opt_minus, g_full, g_sample, formula if bundle else 0.0)
+            priced[agent] = (prev.value, opt_minus, g_full, g_sample, formula if bundle else 0)
             return mask_of(bundle)
 
         return k2, price_step
 
     trace = []
     bundles: dict[int, frozenset] = {}
-    payments: dict[int, object] = {i: 0.0 for i in range(n)}
+    payments: dict[int, object] = dict.fromkeys(range(n), 0)
     steps = _proxy_steps(inst.specs, reports, order.agents, inst.m, priced_match)
     for t, agent, avail, taken in steps:
         fields = priced.get(agent, ())
@@ -199,44 +199,51 @@ def check_epic(
     Runs the mechanism once truthfully and once per deviation on the
     grid (everyone else truthful), scoring the agent's utility at the
     true signals each time.  With ``refine`` a second, finer grid is
-    laid around the best deviation found.
+    laid around the best deviation found.  A float the audit reports, or a
+    run at a float report, past the float range raises ValidationError
+    naming the audit's field.
     """
     if not (0 <= agent < inst.n):
         raise ValidationError(f"agent {agent} out of range for n={inst.n}")
     if grid_points < 2:
         raise ValidationError("grid_points must be >= 2")
     memo = solver_cache if solver_cache is not None else {}
-    truth = run_mechanism(inst, order, solver_cache=memo)
-    u_truth = truth.utilities[agent]
 
-    s_true = float(inst.signals[agent])
+    def utility_of(report_value, field: str = "best_utility"):
+        values = list(inst.signals.values)
+        values[agent] = report_value
+        try:
+            outcome = run_mechanism(inst, order, SignalProfile(values), solver_cache=memo)
+        except OverflowError:  # float arithmetic met a value past the float range
+            raise ValidationError(f"{field}: the run at report {report_value!r} "
+                                  "is beyond the float range") from None
+        return outcome.utilities[agent]
+
+    u_truth = utility_of(inst.signals[agent], "truth_utility")
+    s_true = float_in_range(inst.signals[agent], "best_deviation: the true signal")
     if grid is None:
         hi = 2 * s_true if s_true > 0 else 1.0
         grid = [hi * i / (grid_points - 1) for i in range(grid_points)]
 
-    def utility_of(report_value) -> float:
-        values = list(inst.signals.values)
-        values[agent] = report_value
-        outcome = run_mechanism(inst, order, SignalProfile(values), solver_cache=memo)
-        return outcome.utilities[agent]
+    def deviation(d) -> tuple:
+        return float_in_range(d, "best_deviation: a report"), utility_of(d)
 
-    tested = [(float(d), utility_of(d)) for d in grid]
+    tested = list(map(deviation, grid))
     best_dev, best_u = max(tested, key=lambda pair: pair[1])
     if refine and len(grid) > 1:
         spacing = max(grid) / (len(grid) - 1) if max(grid) > 0 else 1.0
         lo = max(0.0, best_dev - spacing)
         fine = [lo + (best_dev + spacing - lo) * i / 10 for i in range(11)]
-        refined = [(float(d), utility_of(d)) for d in fine]
-        tested.extend(refined)
+        tested.extend(map(deviation, fine))
         best_dev, best_u = max(tested, key=lambda pair: pair[1])
 
     violation = best_u - u_truth
     return EpicAudit(
         agent=agent,
-        truth_utility=float(u_truth),
+        truth_utility=float_in_range(u_truth, "truth_utility"),
         best_deviation=best_dev,
-        best_utility=float(best_u),
-        violation=float(violation),
+        best_utility=float_in_range(best_u, "best_utility"),
+        violation=float_in_range(violation, "violation"),
         passed=violation <= tol,
         deviations_tested=len(tested),
     )
@@ -284,11 +291,10 @@ def check_random_sampling_bound(
                 f"exact mode enumerates C({n},{k1}) subsets; n <= 12 required"
             )
         subsets = list(itertools.combinations(range(n), k1))
-        total = sum(proxy_opt(s) for s in subsets)
-        lhs = total / len(subsets)
+        lhs = left_sum(map(proxy_opt, subsets)) / len(subsets)
         return SamplingBoundCheck(lhs, rhs, lhs >= rhs - tol, len(subsets))
     if mode == "monte_carlo":
         vals = [proxy_opt(order.agents[:k1]) for order in _trial_orders(seed, trials, n)]
-        lhs = sum(vals) / trials
+        lhs = left_sum(vals) / trials
         return SamplingBoundCheck(lhs, rhs, lhs >= rhs - tol, trials)
     raise ValidationError(f"unknown mode {mode!r}")

@@ -51,9 +51,10 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import integerize, set_of
+from ._util import integerize, left_sum, set_of
 from .errors import CapabilityError, ValidationError
-from .valuations import Instance, _UnitDemand, _float_xos_tables, bundle_value_table
+from .valuations import (Instance, _UnitDemand, _additive_table, _float_xos_tables,
+                         bundle_value_table)
 
 __all__ = ["Allocation", "opt_dispatch", "opt_general", "opt_matching"]
 
@@ -77,16 +78,6 @@ class Allocation:
 
     def bundle_of(self, agent: int) -> frozenset:
         return self.bundles.get(agent, frozenset())
-
-
-def _lex_codes(num_items: int, base: int) -> list[int]:
-    """lex code of each item bitmask for one agent of rank weight 1."""
-    powers = [base ** (num_items - 1 - b) for b in range(num_items)]
-    codes = [0] * (1 << num_items)
-    for mask in range(1, 1 << num_items):
-        low = mask & -mask
-        codes[mask] = codes[mask ^ low] + powers[low.bit_length() - 1]
-    return codes
 
 
 def solve_from_tables(
@@ -122,7 +113,7 @@ def solve_from_tables(
     full = (1 << q) - 1
 
     if t == 0:
-        return Allocation(frozenset(), frozenset(items), {}, {}, 0.0)
+        return Allocation(frozenset(), frozenset(items), {}, {}, 0)
 
     for r, tab in enumerate(tables):
         if tab[0] != 0:
@@ -148,7 +139,8 @@ def solve_from_tables(
         raise
     base = t + 2
     big_k = base ** q
-    codes = _lex_codes(q, base)
+    # lex code of each item bitmask for one agent of rank weight 1
+    codes = _additive_table([base ** (q - 1 - b) for b in range(q)])
 
     combined = []
     for r in range(t):
@@ -220,15 +212,8 @@ def solve_from_tables(
 
 
 def _welfare(per_agent: dict):
-    """The per-agent values added in agent order, as a left fold from int 0
-    (what ``sum`` does before Python 3.12); the float 0.0 when nobody
-    gets anything."""
-    if not per_agent:
-        return 0.0
-    total = 0
-    for i in sorted(per_agent):
-        total += per_agent[i]
-    return total
+    """The per-agent values' :func:`left_sum` in agent order."""
+    return left_sum(map(per_agent.get, sorted(per_agent)))
 
 
 def opt_general(
@@ -345,7 +330,7 @@ def opt_matching(
     it = sorted(set(items))
     t, q = len(ag), len(it)
     if t == 0 or q == 0:
-        return Allocation(frozenset(ag), frozenset(it), {}, {}, 0.0)
+        return Allocation(frozenset(ag), frozenset(it), {}, {}, 0)
 
     # Cell r * q + b holds agent ag[r]'s weight for item it[b].
     flat = [weights[i][j] for i in ag for j in it]

@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._util import bits_of, check_seed, mask_of, set_of, trial_rng
+from ._util import bits_of, check_seed, left_sum, mask_of, set_of, trial_rng
 from .errors import CapabilityError, ValidationError
 from .offline import opt_dispatch, opt_matching, solve_from_tables
 from .valuations import (
@@ -283,20 +283,18 @@ class InstanceRuntime:
             return 0
         return self.step_opt(amask)[1].get(agent, 0) & avail
 
+    def _true_value(self, agent: int, bundle_mask: int):
+        """The agent's true value of a bundle bitmask: its bundle table's entry."""
+        if isinstance(self.inst.specs[agent], _UnitDemand):
+            # The first best item from the top, or 0 when no item is worth anything.
+            ws = self.true_weights(agent)
+            best = max(ws[j] for j in reversed(bits_of(bundle_mask)))
+            return best if best > 0 else 0
+        return self.true_table(agent)[bundle_mask]
+
     def true_welfare(self, bundle_masks: Mapping[int, int]):
-        """Sum of true values, in agent order, of each agent's bundle bitmask."""
-        total = 0
-        for i in sorted(bundle_masks):
-            bm = bundle_masks[i]
-            if isinstance(self.inst.specs[i], _UnitDemand):
-                # The bundle table's entry: its first best item from the top,
-                # or 0 when no item is worth anything.
-                ws = self.true_weights(i)
-                best = max(ws[j] for j in reversed(bits_of(bm)))
-                total += best if best > 0 else 0
-            else:
-                total += self.true_table(i)[bm]
-        return total
+        """The :func:`left_sum` of true values, in agent order, of the bundle bitmasks."""
+        return left_sum(self._true_value(i, bundle_masks[i]) for i in sorted(bundle_masks))
 
 
 def run_sample_then_greedy(inst: Instance, order, k: int) -> RunResult:
@@ -327,7 +325,7 @@ def _matched_weight(weights: Mapping[int, tuple]) -> Callable[[dict], object]:
     """The matching secretary's welfare: each taken item's weight, summed in arrival order."""
 
     def score(taken_by: dict) -> object:
-        return sum(weights[i][bm.bit_length() - 1] for i, bm in taken_by.items())
+        return left_sum(weights[i][bm.bit_length() - 1] for i, bm in taken_by.items())
 
     return score
 
@@ -534,7 +532,7 @@ def check_tail_harmonic_sum(values: Sequence, slack_constant: float = 5.0) -> Ta
             raise ValidationError(f"complement-sum bound fails at index {t}")
 
     start = math.ceil(n / math.e)
-    lhs = sum(a[t - 1] / (t - 1) for t in range(start, n + 1))
+    lhs = left_sum(a[t - 1] / (t - 1) for t in range(start, n + 1))
     rhs = a[n - 1] / 2
     slack = slack_constant / n
     return TailSumCheck(lhs, rhs, lhs >= rhs * (1 - slack))

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import linprog
 
-from ._util import bits_of, check_seed, mask_of, set_of
+from ._util import bits_of, check_seed, left_sum, mask_of, set_of
 from .errors import CapabilityError, ValidationError
 from .valuations import (
     SignalProfile,
@@ -291,7 +291,7 @@ def check_xos_over_items(
         best, support = 0, {}
         for clause in spec.clauses:
             weights = {j: w(s.values) for j, w in clause if j in items}
-            tot = sum(weights.values())
+            tot = left_sum(weights.values())
             if tot >= best:
                 best, support = tot, weights
         return CheckResult(True, {"support": support})

@@ -19,6 +19,7 @@ Three spec families are provided:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -27,7 +28,7 @@ from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
-from ._util import integerize, mask_of
+from ._util import integerize, left_sum, mask_of
 from .errors import CapabilityError, ValidationError
 
 # Largest bundle table (2^m entries) bundle_value_table builds: m <= 16.
@@ -121,8 +122,8 @@ class SignalWeight:
     is None.  Coefficients and the constant must be nonnegative, which
     makes every weight monotone in the signals.
 
-    The dot product is a left fold from int 0, which is what ``sum`` does
-    before Python 3.12.  When the parameters and the signals are all
+    The dot product is a :func:`~secalloc._util.left_sum` in signal
+    order.  When the parameters and the signals are all
     Fractions, the weight is evaluated in integers over (weight
     denominator x profile denominator) and returns the Fraction that
     Fraction arithmetic would; other operand types use Python arithmetic.
@@ -161,10 +162,7 @@ class SignalWeight:
             prof = _exact_profile(signals)
             if prof is not None:
                 return self._exact(prof)
-        total = 0
-        for c, s in zip(self.coeffs, signals):
-            total += c * s
-        total = self.const + total
+        total = self.const + left_sum(map(operator.mul, self.coeffs, signals))
         if self.cap is not None and total > self.cap:
             return self.cap
         return total
@@ -172,11 +170,9 @@ class SignalWeight:
     def _numerator(self, prof) -> int:
         """The value times (weight denominator x profile denominator), for
         an exact weight at ``prof = _exact_profile(signals)``."""
-        coeffs, total, cap, _ = self._ints
+        coeffs, const, cap, _ = self._ints
         nums, den = prof
-        total *= den
-        for c, s in zip(coeffs, nums):
-            total += c * s
+        total = const * den + left_sum(map(operator.mul, coeffs, nums))
         if cap is not None and total > cap * den:
             return cap * den
         return total
@@ -259,10 +255,7 @@ class XOSValuation(ValuationSpec):
         self._validate_signals(signals)
         best = 0
         for clause in self.clauses:
-            tot = 0
-            for j, w in clause:
-                if j in b:
-                    tot += w(signals)
+            tot = left_sum(w(signals) for j, w in clause if j in b)
             if tot > best:
                 best = tot
         return best

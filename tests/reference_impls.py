@@ -89,8 +89,9 @@ def assert_invariants(record):
     * a run's trace gives each agent its bundle, out of the items still
       available at its step;
     * an ``Allocation``'s bundles go to its agents, lie in its items and
-      have positive values, and ``value`` is ``per_agent_value`` summed in
-      agent order (0.0 when nothing is allocated), repr for repr;
+      have positive values, and ``value`` is the :func:`ref_left_fold` of
+      ``per_agent_value`` in agent order (the int 0 when nothing is
+      allocated), repr for repr;
     * a ``MechanismOutcome`` gives one item per winner, and every agent
       without a bundle pays exactly 0.
     """
@@ -105,7 +106,7 @@ def assert_invariants(record):
         assert seen <= record.items
         assert set(per_agent) == set(record.bundles)
         assert all(v > 0 for v in per_agent.values())
-        total = sum(per_agent[i] for i in sorted(per_agent)) if per_agent else 0.0
+        total = ref_left_fold(per_agent[i] for i in sorted(per_agent))
         assert repr(record.value) == repr(total)
         return
     for step in record.trace:
@@ -114,6 +115,15 @@ def assert_invariants(record):
     if isinstance(record, MechanismOutcome):
         assert all(len(b) == 1 for b in record.bundles.values())
         assert all(p == 0 for i, p in record.payments.items() if i not in record.bundles)
+
+
+def ref_left_fold(values):
+    """The values added left to right from the int 0: ``sum`` before Python
+    3.12, which adds floats with compensated rounding."""
+    total = 0
+    for v in values:
+        total += v
+    return total
 
 
 def ref_integerize(values):
@@ -164,7 +174,7 @@ def ref_opt_brute(agents, value_of, items):
             bundles.setdefault(owner, set()).add(j)
     bundles = {a: frozenset(b) for a, b in bundles.items()}
     per_agent = {a: value_of(a, bundles[a]) for a in bundles}
-    value = sum(per_agent[a] for a in sorted(per_agent)) if per_agent else 0.0
+    value = ref_left_fold(per_agent[a] for a in sorted(per_agent))
     return bundles, per_agent, value
 
 
@@ -193,7 +203,7 @@ def ref_matching_brute(agents, weights, items):
         a: frozenset({j}) for j, a in zip(items, best_assignment) if a is not None
     }
     per_agent = {a: weights[a][next(iter(b))] for a, b in bundles.items()}
-    value = sum(per_agent[a] for a in sorted(per_agent)) if per_agent else 0.0
+    value = ref_left_fold(per_agent[a] for a in sorted(per_agent))
     return bundles, per_agent, value
 
 
@@ -263,7 +273,7 @@ def ref_opt_matching_padded(agents, weights, items):
     it = sorted(set(items))
     t, q = len(ag), len(it)
     if t == 0 or q == 0:
-        return Allocation(frozenset(ag), frozenset(it), {}, {}, 0.0)
+        return Allocation(frozenset(ag), frozenset(it), {}, {}, 0)
 
     w_rows = []
     for i in ag:
@@ -295,7 +305,7 @@ def ref_opt_matching_padded(agents, weights, items):
         if b < q and gains[r][b] > 0:
             bundles[ag[r]] = frozenset({it[b]})
             per_agent[ag[r]] = w_rows[r][b]
-    value = sum(per_agent[i] for i in sorted(per_agent)) if per_agent else 0.0
+    value = ref_left_fold(per_agent[i] for i in sorted(per_agent))
     return Allocation(frozenset(ag), frozenset(it), bundles, per_agent, value)
 
 
@@ -323,7 +333,7 @@ def ref_solve_from_tables(agent_ids, tables, item_ids):
     full = (1 << q) - 1
 
     if t == 0:
-        return Allocation(frozenset(), frozenset(items), {}, {}, 0.0)
+        return Allocation(frozenset(), frozenset(items), {}, {}, 0)
 
     for r, tab in enumerate(tables):
         if tab[0] != 0:
@@ -373,7 +383,7 @@ def ref_solve_from_tables(agent_ids, tables, item_ids):
             bundles[agents[r]] = frozenset(items[b] for b in range(q) if x >> b & 1)
             per_agent[agents[r]] = tables[r][x]
 
-    value = sum(per_agent[i] for i in sorted(per_agent)) if per_agent else 0.0
+    value = ref_left_fold(per_agent[i] for i in sorted(per_agent))
     return Allocation(frozenset(agents), frozenset(items), bundles, per_agent, value)
 
 
@@ -396,7 +406,7 @@ def ref_run_sample_then_greedy(inst, order, k):
         if mine:
             bundles[agent] = frozenset(mine)
             available -= mine
-    welfare = sum(
+    welfare = ref_left_fold(
         eval_valuation(inst.specs[a], bundles[a], inst.signals) for a in sorted(bundles)
     )
     return bundles, welfare
@@ -543,7 +553,7 @@ def ref_estimate_ratio(inst, config) -> RatioStats:
         # An all-zero optimum makes every allocation trivially optimal.
         ratios.append(alg_value / opt_true if opt_true > 0 else 1.0)
 
-    mean = sum(ratios) / len(ratios)
+    mean = ref_left_fold(ratios) / len(ratios)
     as_float = np.array([float(r) for r in ratios])
     std = float(as_float.std(ddof=1)) if len(ratios) > 1 else 0.0
     se = std / math.sqrt(len(ratios))
@@ -698,12 +708,12 @@ def ref_run_mechanism(
         g_full = spec.others_value(bundle, mask_signals(reports, all_agents - {agent}).values)
         g_sample = spec.others_value(bundle, sample_reports)
         formula = prev.value - opt_minus + g_full - g_sample
-        priced[agent] = (prev.value, opt_minus, g_full, g_sample, formula if bundle else 0.0)
+        priced[agent] = (prev.value, opt_minus, g_full, g_sample, formula if bundle else 0)
         return mask_of(bundle)
 
     trace = []
     bundles: dict[int, frozenset] = {}
-    payments: dict[int, object] = {i: 0.0 for i in range(n)}
+    payments: dict[int, object] = {i: 0 for i in range(n)}
     for t, agent, avail, taken in _arrive(order, inst.m, k1 + k2, price_step):
         fields = priced.get(agent, ())
         if taken:
@@ -745,13 +755,13 @@ class RefStepOptRuntime(InstanceRuntime):
 
 
 # --- weight evaluation and bundle tables before exact profiles were evaluated
-# in integers: Python arithmetic on whatever the operands are, with ``sum``
-# adding the dot product.  Verbatim apart from the names and the methods
-# turned into functions of the weight or spec.
+# in integers: Python arithmetic on whatever the operands are, with a left
+# fold adding the dot product.  Verbatim apart from the names, the methods
+# turned into functions of the weight or spec, and the fold written out.
 
 def ref_signal_weight(w, signals):
     """``SignalWeight.__call__``: ``w`` at ``signals``."""
-    total = w.const + sum(c * s for c, s in zip(w.coeffs, signals))
+    total = w.const + ref_left_fold(c * s for c, s in zip(w.coeffs, signals))
     if w.cap is not None and total > w.cap:
         return w.cap
     return total

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference_impls import RefStepOptRuntime, WeightOracle, assert_invariants
+from reference_impls import RefStepOptRuntime, WeightOracle, assert_invariants, ref_left_fold
 
 import secalloc.offline
 import secalloc.secretary
@@ -344,7 +344,7 @@ def reference_stats(inst, config) -> RatioStats:
         ratios.append(welfare / opt if opt > 0 else 1.0)
     floats = np.array([float(r) for r in ratios])
     se = float(floats.std(ddof=1)) / math.sqrt(len(ratios))
-    return RatioStats(sum(ratios) / len(ratios), se, 1.96 * se, float(floats.min()),
+    return RatioStats(ref_left_fold(ratios) / len(ratios), se, 1.96 * se, float(floats.min()),
                       float(floats.max()), len(ratios), float(opt))
 
 

@@ -187,6 +187,32 @@ def test_overflowing_payment_is_rejected():
         run_mechanism(inst, ArrivalOrder([2, 0, 1]))
 
 
+def test_own_parts_past_the_float_range_stay_exact():
+    # Every own coefficient is 10**400.  Payments and utilities stay exact;
+    # a number check_epic reports as a float names its field when it is past
+    # the float range, and so do float reports, which overflow the weights.
+    base = generate_instance(GeneratorParams(3, 2, "separable_capped"), 1).exact()
+    huge = Fraction(10**400)
+    specs = [SeparableValuation(s.agent, [SignalWeight([huge if k == s.agent else c
+                                                        for k, c in enumerate(w.coeffs)], w.const)
+                                          for w in s.own], s.others) for s in base.specs]
+    inst = Instance(specs, base.signals)
+    exact_grid = [Fraction(k, 4) for k in range(5)]
+    for order in (ArrivalOrder([0, 1, 2]), ArrivalOrder([2, 1, 0])):
+        outcome = run_mechanism(inst, order)
+        assert_invariants(outcome)
+        assert repr(outcome) == repr(ref_run_mechanism(inst, order))
+        assert {type(v) for v in (*outcome.payments.values(), *outcome.utilities.values())} \
+            == {int, Fraction}
+        assert outcome.utilities[1] > 10**399  # agent 1 wins item 1 at a finite price
+        with pytest.raises(ValidationError, match="^best_utility: the run at report 0.0 is beyond"):
+            check_epic(inst, order, 1)
+        with pytest.raises(ValidationError, match="^truth_utility is beyond the float range"):
+            check_epic(inst, order, 1, grid=exact_grid, refine=False)
+    audit = check_epic(inst, ArrivalOrder([0, 1, 2]), 2, grid=exact_grid, refine=False)
+    assert audit.passed and audit.truth_utility == 0
+
+
 GRID = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
 
 

@@ -1,14 +1,16 @@
 """Valuation types: masking, evaluation, normalization, monotonicity."""
 
+import ast
 import itertools
-import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import secalloc
 from secalloc import (
     CapabilityError,
     ExperimentConfig,
@@ -26,6 +28,7 @@ from secalloc import (
     mask_signals,
     survival_probability,
 )
+from secalloc._util import left_sum
 from secalloc.harness import FAMILIES, GeneratorParams, generate_instance
 from secalloc.secretary import InstanceRuntime
 from secalloc.valuations import _float_xos_tables
@@ -33,13 +36,10 @@ from secalloc.valuations import _float_xos_tables
 from reference_impls import (
     ref_bundle_value_table,
     ref_item_weights,
+    ref_left_fold,
     ref_mask_signals,
     ref_signal_weight,
 )
-
-# From Python 3.12 on, sum() adds floats with compensated rounding, so the
-# references' sum() and the library's left fold agree only before it.
-SUM_IS_A_LEFT_FOLD = sys.version_info < (3, 12)
 
 
 def const_weight(n, c):
@@ -267,6 +267,26 @@ def test_bundle_table_matches_direct_evaluation(family):
 
 # --- weight arithmetic: left fold on floats, integers on exact operands ----
 
+def test_left_sum_adds_left_to_right_from_int_zero():
+    assert left_sum([1e16, 1.0, -1e16]) == 0.0  # a compensated sum gives 1.0
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert left_sum(iter([0.5, 0.25])) == 0.75
+    total = left_sum([])
+    assert total == 0 and type(total) is int
+    total = left_sum([Fraction(1, 3), Fraction(1, 6)])
+    assert total == Fraction(1, 2) and type(total) is Fraction
+
+
+def test_the_library_calls_builtin_sum_only_to_count():
+    # Builtin sum() compensates float rounding from Python 3.12 on, so every
+    # library sum goes through left_sum; the two survival counts add ints.
+    calls = [(path.name, ast.unparse(node.args[0])[:7])
+             for path in sorted(Path(secalloc.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sum"]
+    assert calls == [("secretary.py", "(1 for ")] * 2
+
+
 def test_float_dot_product_is_a_left_fold():
     # A compensated sum would round this to 1.0.
     assert SignalWeight([0.1] * 10)([1.0] * 10) == 0.9999999999999999
@@ -274,20 +294,20 @@ def test_float_dot_product_is_a_left_fold():
     assert spec.value(range(10), [1.0]) == 0.9999999999999999
 
 
-@pytest.mark.skipif(not SUM_IS_A_LEFT_FOLD, reason="sum() compensates float rounding")
 def test_float_weights_add_like_builtin_sum():
+    # builtin sum() through Python 3.11, that is: an explicit left fold.
     rng = np.random.default_rng(7)
     cases = [([], []), ([0.0], [-0.0]), ([0.1] * 10, [1.0] * 10)]
     cases += [(list(rng.uniform(0, 3, 6)), list(rng.uniform(0, 3, 6))) for _ in range(20)]
     for const in (-0.0, 0.0, 0.3):
         for coeffs, sigs in cases:
             coeffs, sigs = [float(c) for c in coeffs], [float(s) for s in sigs]
-            expected = const + sum(c * s for c, s in zip(coeffs, sigs))
+            expected = const + ref_left_fold(c * s for c, s in zip(coeffs, sigs))
             assert repr(SignalWeight(coeffs, const)(sigs)) == repr(expected)
             if coeffs:
                 spec = XOSValuation([{j: SignalWeight([c], const) for j, c in enumerate(coeffs)}],
                                     num_items=len(coeffs))
-                want = sum(w([1.0]) for _, w in spec.clauses[0])
+                want = ref_left_fold(w([1.0]) for _, w in spec.clauses[0])
                 assert repr(spec.value(range(len(coeffs)), [1.0])) == repr(want if want > 0 else 0)
 
 
@@ -368,11 +388,6 @@ def _spec_weights(spec):
     return list(spec.weights)
 
 
-def _uses_floats(spec, prof):
-    params = [p for w in _spec_weights(spec) for p in (*w.coeffs, w.const, w.cap)]
-    return any(type(v) is float for v in (*params, *prof.values))
-
-
 def _huge_exact_case():
     big = SignalWeight([HUGE, Fraction(1, 3)], HUGE, cap=HUGE * 3)
     spec = XOSValuation([{0: big, 1: SignalWeight([HUGE, HUGE], Fraction(0))}, {1: big}], num_items=2)
@@ -385,8 +400,6 @@ def _huge_exact_case():
 @example(case=_huge_exact_case())
 def test_weights_and_tables_equal_the_python_arithmetic_reference(case):
     spec, prof = case
-    if _uses_floats(spec, prof) and not SUM_IS_A_LEFT_FOLD:
-        return
     for w in _spec_weights(spec):
         assert repr(w(prof.values)) == repr(ref_signal_weight(w, prof.values))
     if not isinstance(spec, XOSValuation):
